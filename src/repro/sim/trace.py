@@ -327,3 +327,28 @@ def grouped_arange(lengths: np.ndarray) -> np.ndarray:
     starts = exclusive_cumsum(lengths)
     keep = lengths > 0
     return np.arange(total, dtype=np.int64) - np.repeat(starts[keep], lengths[keep])
+
+
+def segment_sums(values: np.ndarray, group_lengths: np.ndarray) -> np.ndarray:
+    """Left-to-right sum of each consecutive group of ``values`` (0.0 if empty).
+
+    Bit-identical to ``group.cumsum()[-1]`` per non-empty group — the
+    sequential ``acc += v`` of the reference kernels — because it adds one
+    position-in-group at a time, vectorized across groups. ``np.sum`` and
+    ``np.add.reduceat`` sum pairwise and can round differently. Trailing
+    axes of ``values`` are summed element-wise.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    lengths = np.asarray(group_lengths, dtype=np.int64)
+    out = np.zeros((lengths.size,) + values.shape[1:], dtype=np.float64)
+    live = np.flatnonzero(lengths)
+    if live.size == 0:
+        return out
+    live = live[np.argsort(-lengths[live], kind="stable")]  # longest groups first
+    starts = exclusive_cumsum(lengths)[live]
+    negated = -lengths[live]
+    out[live] = values[starts]
+    for position in range(1, int(-negated[0])):
+        longer = int(np.searchsorted(negated, -position))  # groups longer than position
+        out[live[:longer]] += values[starts[:longer] + position]
+    return out

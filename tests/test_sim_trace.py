@@ -16,6 +16,7 @@ from repro.sim.trace import (
     TraceBuilder,
     exclusive_cumsum,
     grouped_arange,
+    segment_sums,
 )
 from repro.workloads.synthetic import clustered_matrix
 
@@ -32,6 +33,46 @@ class TestHelpers:
             grouped_arange(np.array([3, 0, 2])), [0, 1, 2, 0, 1]
         )
         assert grouped_arange(np.array([0, 0])).size == 0
+
+    @staticmethod
+    def _sequential(values, lengths):
+        """Reference: ``acc += v`` left to right within each group."""
+        sums, start = [], 0
+        for length in lengths:
+            group = values[start:start + length]
+            sums.append(group.cumsum()[-1] if length else 0.0)
+            start += length
+        return np.array(sums, dtype=np.float64)
+
+    def test_segment_sums_matches_cumsum_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        lengths = rng.integers(0, 12, size=40)
+        values = rng.standard_normal(int(lengths.sum())) * 10.0 ** rng.integers(-8, 8, int(lengths.sum()))
+        got = segment_sums(values, lengths)
+        assert got.tobytes() == self._sequential(values, lengths).tobytes()
+
+    def test_segment_sums_cancellation_zero_and_empty_groups(self):
+        values = np.array([1e16, 1.0, -1e16, -0.0, 2.5, -2.5])
+        got = segment_sums(values, np.array([0, 3, 0, 1, 2, 0]))
+        # 1e16 + 1.0 rounds back to 1e16, so the first group cancels to 0.0.
+        assert got.tobytes() == np.array([0.0, 0.0, 0.0, -0.0, 0.0, 0.0]).tobytes()
+        assert np.signbit(got[3]) and not np.signbit(got[0])
+        assert segment_sums(np.zeros(0), np.zeros(0, dtype=np.int64)).shape == (0,)
+        assert segment_sums(np.zeros(0), np.zeros(2, dtype=np.int64)).tobytes() == bytes(16)
+
+    def test_segment_sums_is_sequential_not_pairwise(self):
+        values = np.array([1.0] + [1e-16] * 15)
+        sequential = 0.0
+        for v in values:
+            sequential += float(v)
+        assert float(np.sum(values)) != sequential  # pairwise rounds differently
+        got = segment_sums(np.concatenate((values, values)), np.array([16, 16]))
+        assert got.tolist() == [sequential, sequential]
+
+    def test_segment_sums_trailing_axes(self):
+        values = np.arange(12, dtype=np.float64).reshape(6, 2)
+        got = segment_sums(values, np.array([2, 0, 4]))
+        np.testing.assert_array_equal(got, [[2.0, 4.0], [0.0, 0.0], [28.0, 32.0]])
 
 
 class TestTraceBuilder:

@@ -22,10 +22,11 @@ from repro.core.config import SMASHConfig
 from repro.core.smash_matrix import SMASHMatrix
 from repro.formats.bcsr import BCSRMatrix
 from repro.formats.convert import coo_to_csc, coo_to_csr
+from repro.formats.coo import COOMatrix
 from repro.kernels import legacy, spadd, spmm, spmv
 from repro.sim.config import SimConfig
 from repro.sim.instrumentation import InstructionClass
-from repro.sim.trace import CHUNK_ENV_VAR
+from repro.sim.trace import CHUNK_ENV_VAR, TraceBuilder
 from repro.workloads.synthetic import clustered_matrix, uniform_random_matrix
 
 SIM = SimConfig.scaled(16)
@@ -217,6 +218,16 @@ class TestSpAddEquivalence:
         np.testing.assert_allclose(c_new, c_old)
 
 
+def run_chunk_modes(monkeypatch, fn, *args):
+    """``(label, (C, report))`` of ``fn`` run monolithic and at every ``CHUNK_SIZES``."""
+    results = []
+    for label, chunk in [("monolithic", "0")] + [(f"chunk{c}", str(c)) for c in CHUNK_SIZES]:
+        monkeypatch.setenv(CHUNK_ENV_VAR, chunk)
+        results.append((label, fn(*args, SIM)))
+    monkeypatch.delenv(CHUNK_ENV_VAR)
+    return results
+
+
 class TestChunkedEquivalence:
     """Chunked replay == monolithic replay == legacy, for every kernel x scheme.
 
@@ -226,14 +237,7 @@ class TestChunkedEquivalence:
     """
 
     def _run_modes(self, monkeypatch, fn, *args):
-        reports = {}
-        for label, chunk in [("monolithic", "0")] + [
-            (f"chunk{c}", str(c)) for c in CHUNK_SIZES
-        ]:
-            monkeypatch.setenv(CHUNK_ENV_VAR, chunk)
-            _, reports[label] = fn(*args, SIM)
-        monkeypatch.delenv(CHUNK_ENV_VAR)
-        return reports
+        return {label: report for label, (_, report) in run_chunk_modes(monkeypatch, fn, *args)}
 
     def _assert_all_equal(self, reports, reference, tag):
         for label, report in reports.items():
@@ -345,6 +349,125 @@ class TestChunkedEquivalence:
 
         assert_reports_identical(build(3), build(None), "mid-run split")
         assert_reports_identical(build(1), build(None), "every-access split")
+
+
+def _spmm_operands(a, b, config):
+    """Every SpMM scheme's ``(batched, legacy, A, B)`` for COO operands ``a``, ``b``."""
+    a_csr, b_csc = coo_to_csr(a), coo_to_csc(b)
+    bcsr = BCSRMatrix.from_coo(a, (4, 4))
+    a_sm, bt_sm = SMASHMatrix.from_coo(a, config), SMASHMatrix.from_coo(b.transpose(), config)
+    return [
+        (batched, reference, a_csr, b_csc)
+        for batched, reference in TestSpMMEquivalence.CSR_PAIRS
+    ] + [
+        (spmm.spmm_bcsr_instrumented, legacy.spmm_bcsr_instrumented, bcsr, b_csc),
+        (spmm.spmm_smash_software_instrumented, legacy.spmm_smash_software_instrumented,
+         a_sm, bt_sm),
+        (spmm.spmm_smash_hardware_instrumented, legacy.spmm_smash_hardware_instrumented,
+         a_sm, bt_sm),
+    ]
+
+
+CANCELLED = [(0, 0), (3, 3), (5, 7), (6, 0), (6, 3), (6, 7), (6, 12)]
+
+
+def _edge_operands():
+    """A 7x16 by 16x13 product built to hit the merge's corner cases.
+
+    Rows 1 and 4 of A and columns 1, 5, 9 and 10 of B are empty; the pairs
+    in ``CANCELLED`` sum to exactly 0.0 (also per SMASH block and BCSR block
+    column), so they write no ``C`` and count no STORE. Pair (6, 12)
+    cancels only when its 16 products are added left to right (a pairwise
+    sum leaves about 1e-15). Column 2's indices all exceed row 0's and row
+    3's largest, so those merges stop early when A's side runs out.
+    """
+    a = np.zeros((7, 16))
+    a[0, [0, 1]] = 1.0
+    a[2, [2, 3, 6]] = [2.0, -3.0, 1.5]
+    a[3, [0, 2]] = 1.0
+    a[5, [0, 4, 5, 7]] = [0.5, 2.0, 2.0, 4.0]
+    a[6, :] = 1.0
+    b = np.zeros((16, 13))
+    b[[0, 1], 0] = [1.0, -1.0]
+    b[[6, 7], 2] = [2.0, 3.0]
+    b[[0, 2], 3] = [1.0, -1.0]
+    b[:, 4] = 1.0
+    b[3, 6] = 5.0
+    b[[4, 5], 7] = [1.0, -1.0]
+    b[[1, 6], 8] = [0.25, -2.0]
+    b[7, 11] = 1.0
+    b[:, 12] = [1.0] + [1e-16] * 14 + [-1.0]
+    return COOMatrix.from_dense(a), COOMatrix.from_dense(b)
+
+
+class TestSpMMEdgeCases:
+    """Vectorized SpMM == legacy on corner cases, monolithic and chunked."""
+
+    @pytest.mark.parametrize("config_name", ["b2.4", "b4"])
+    @pytest.mark.parametrize("operands", ["edge", "random_rectangular"])
+    def test_all_schemes(self, operands, config_name, monkeypatch):
+        if operands == "edge":
+            a, b = _edge_operands()
+        else:
+            a = uniform_random_matrix(12, 16, density=0.1, seed=21)
+            b = uniform_random_matrix(16, 20, density=0.1, seed=22)
+        for batched, reference, lhs, rhs in _spmm_operands(a, b, SMASH_CONFIGS[config_name]):
+            c_ref, r_ref = reference(lhs, rhs, SIM)
+            for label, (c_new, r_new) in run_chunk_modes(monkeypatch, batched, lhs, rhs):
+                tag = f"{batched.__name__}/{label}"
+                assert_reports_identical(r_new, r_ref, tag)
+                assert c_new.tobytes() == c_ref.tobytes(), tag
+
+    def test_cancelled_pairs_write_nothing(self):
+        a, b = _edge_operands()
+        c, report = spmm.spmm_csr_instrumented(coo_to_csr(a), coo_to_csc(b), SIM)
+        assert all(c[i, j] == 0.0 for i, j in CANCELLED)
+        structural = np.count_nonzero((a.to_dense() != 0) @ (b.to_dense() != 0))
+        assert report.instructions.get(InstructionClass.STORE) == structural - len(CANCELLED)
+
+
+class TestSpMMTiling:
+    """Rows longer than the chunk budget are appended in budget-sized tiles."""
+
+    BUDGET = 64
+
+    def _append_sizes(self, monkeypatch, fn, lhs, rhs):
+        sizes = []
+        original = TraceBuilder.add_columns
+
+        def spy(builder, struct_ids, offsets, kinds):
+            sizes.append(len(struct_ids))
+            return original(builder, struct_ids, offsets, kinds)
+
+        monkeypatch.setattr(TraceBuilder, "add_columns", spy)
+        monkeypatch.setenv(CHUNK_ENV_VAR, str(self.BUDGET))
+        _, report = fn(lhs, rhs, SIM)
+        monkeypatch.undo()
+        return sizes, report
+
+    def test_wide_operand_appends_fit_the_budget(self, monkeypatch):
+        a = uniform_random_matrix(4, 32, density=0.2, seed=31)
+        b = uniform_random_matrix(32, 256, density=0.05, seed=32)
+        busy_rows = int(np.count_nonzero(np.diff(coo_to_csr(a).row_ptr)))
+        for batched, reference, lhs, rhs in _spmm_operands(a, b, SMASH_CONFIGS["b4"]):
+            sizes, report = self._append_sizes(monkeypatch, batched, lhs, rhs)
+            name = batched.__name__
+            assert sizes and max(sizes) <= self.BUDGET, name
+            assert len(sizes) > busy_rows, f"{name}: rows were not tiled"
+            assert_reports_identical(report, reference(lhs, rhs, SIM)[1], name)
+
+    def test_oversized_pair_is_appended_alone(self, monkeypatch):
+        a_csr = coo_to_csr(COOMatrix.from_dense(np.ones((1, 64))))
+        b_csc = coo_to_csc(COOMatrix.from_dense(np.ones((64, 2))))
+        sizes, report = self._append_sizes(
+            monkeypatch, spmm.spmm_csr_instrumented, a_csr, b_csc
+        )
+        # The row pointer, then each pair alone: its column pointer, 64
+        # matching steps of four accesses and its C write.
+        assert sizes == [1, 2 + 4 * 64, 2 + 4 * 64]
+        assert_reports_identical(
+            report, legacy.spmm_csr_instrumented(a_csr, b_csc, SIM)[1], "oversized pair"
+        )
 
 
 class TestBatchApiEquivalence:
