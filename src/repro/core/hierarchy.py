@@ -52,7 +52,9 @@ class BitmapHierarchy:
         levels are derived by OR-reducing groups of lower-level bits, exactly
         as described in Section 4.1.3 of the paper.
         """
-        flags = np.asarray(list(block_flags), dtype=bool)
+        if not isinstance(block_flags, np.ndarray):
+            block_flags = list(block_flags)
+        flags = np.asarray(block_flags, dtype=bool)
         bitmaps = [Bitmap.from_bools(flags)]
         current = flags
         for level in range(1, config.levels):

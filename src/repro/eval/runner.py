@@ -15,7 +15,10 @@ Design invariants (see DESIGN.md sections 9 and 15):
 * **Jobs are pure.** A job carries a *description* of its workload (a
   ``source`` tuple naming the generator and its seed), never the matrix
   itself; workers rebuild the workload from the description, so a job's
-  result is a function of its fields alone.
+  result is a function of its fields alone. Each process builds a matrix
+  source at most once: :func:`materialize_source` memoizes it in a bounded
+  LRU with read-only arrays, and the format constructors that consume it
+  still validate every operand they build.
 * **Keys are content hashes.** ``job_key`` is the SHA-256 of the canonical
   JSON of the job's fields (including the full ``SimConfig``), so any
   configuration change invalidates exactly the affected cache entries.
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -103,25 +107,52 @@ def graph_source(key: str, n_vertices: Optional[int] = None) -> Tuple:
     return ("graph", key, n_vertices)
 
 
+#: Most matrices one process keeps built (see :func:`materialize_source`).
+#: A Figure 10 sweep touches 15 sources; a Table 3 matrix at its scaled
+#: dimension takes under 100 KB (24 bytes per non-zero).
+MATRIX_MEMO_SIZE = 32
+
+
 def materialize_source(source: Sequence):
-    """Rebuild the workload (COO matrix or graph) a source tuple describes."""
+    """Rebuild the workload (COO matrix or graph) a source tuple describes.
+
+    Matrix sources (``suite``, ``locality``) are built at most once per
+    process per source: the result is memoized in a bounded LRU and shared
+    by every job that names the same source, with its arrays made read-only
+    so an in-place write raises instead of leaking into a later job. Graph
+    sources are rebuilt on every call.
+    """
     tag = source[0]
-    if tag == "suite":
-        from repro.workloads.suite import generate_matrix
-
-        _, key, dim, seed = source
-        return generate_matrix(key, dim=dim, seed=seed)
-    if tag == "locality":
-        from repro.workloads.locality import matrix_with_locality
-
-        _, rows, cols, nnz, block_size, locality_percent, seed = source
-        return matrix_with_locality(rows, cols, nnz, block_size, locality_percent, seed=seed)
+    if tag in ("suite", "locality"):
+        return _build_matrix(*source)
     if tag == "graph":
         from repro.graphs.generators import generate_graph, get_graph_spec
 
         _, key, n_vertices = source
         return generate_graph(get_graph_spec(key), n_vertices=n_vertices)
     raise ValueError(f"unknown workload source {source!r}")
+
+
+@functools.lru_cache(maxsize=MATRIX_MEMO_SIZE, typed=True)
+def _build_matrix(tag: str, *args):
+    """The memoized, read-only COO matrix of one ``suite``/``locality`` source.
+
+    ``typed=True`` keys each source field by its type as well as its value,
+    so e.g. ``dim=64`` and ``dim=64.0`` never share an entry.
+    """
+    if tag == "suite":
+        from repro.workloads.suite import generate_matrix
+
+        key, dim, seed = args
+        coo = generate_matrix(key, dim=dim, seed=seed)
+    else:
+        from repro.workloads.locality import matrix_with_locality
+
+        rows, cols, nnz, block_size, locality_percent, seed = args
+        coo = matrix_with_locality(rows, cols, nnz, block_size, locality_percent, seed=seed)
+    for array in (coo.row, coo.col, coo.values):
+        array.setflags(write=False)
+    return coo
 
 
 # --------------------------------------------------------------------------- #

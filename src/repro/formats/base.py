@@ -112,3 +112,21 @@ def as_index_array(indices, length: int | None = None) -> np.ndarray:
     if length is not None and arr.size != length:
         raise FormatError(f"expected {length} indices, got {arr.size}")
     return arr
+
+
+def first_unsorted_segment(ptr: np.ndarray, indices: np.ndarray) -> int:
+    """First segment whose indices do not strictly increase, or ``-1``.
+
+    Segment ``i`` is ``indices[ptr[i]:ptr[i + 1]]`` (a CSR row or a CSC
+    column); ``ptr`` must already start at 0, end at ``indices.size`` and
+    never decrease. One pass over ``indices``: every adjacent pair whose
+    right element starts a segment is masked out, and the first remaining
+    non-increasing pair is mapped back to its segment.
+    """
+    nnz = indices.size
+    starts = np.zeros(nnz + 1, dtype=bool)
+    starts[ptr[1:-1]] = True
+    bad = np.flatnonzero((np.diff(indices) <= 0) & ~starts[1:nnz])
+    if not bad.size:
+        return -1
+    return int(np.searchsorted(ptr, bad[0], side="right")) - 1

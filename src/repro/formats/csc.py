@@ -20,6 +20,7 @@ from repro.formats.base import (
     as_index_array,
     as_value_array,
     check_shape,
+    first_unsorted_segment,
 )
 
 
@@ -44,11 +45,9 @@ class CSCMatrix(MatrixFormat):
         if self.row_ind.size:
             if self.row_ind.min() < 0 or self.row_ind.max() >= rows:
                 raise FormatError("row index out of bounds")
-        for j in range(self.shape[1]):
-            start, end = self.col_ptr[j], self.col_ptr[j + 1]
-            col_rows = self.row_ind[start:end]
-            if np.any(np.diff(col_rows) <= 0):
-                raise FormatError(f"row indices in column {j} must be strictly increasing")
+        bad_col = first_unsorted_segment(self.col_ptr, self.row_ind)
+        if bad_col >= 0:
+            raise FormatError(f"row indices in column {bad_col} must be strictly increasing")
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "CSCMatrix":

@@ -6,13 +6,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.config import SMASHConfig
 from repro.eval.cli import main as cli_main
 from repro.eval.experiments import experiment_fig10_11, experiment_fig16_17, experiment_spadd
 from repro.eval.runner import (
+    APP_KINDS,
     CACHE_SCHEMA_VERSION,
+    KERNEL_KINDS,
+    MATRIX_MEMO_SIZE,
     PROCESSES_ENV_VAR,
     Job,
     ReportCache,
@@ -27,6 +31,8 @@ from repro.eval.runner import (
     resolve_processes,
     suite_source,
 )
+from repro.eval.runner import _build_matrix as matrix_memo
+from repro.kernels.registry import registered_schemes
 from repro.sim.config import SimConfig
 from repro.sim.instrumentation import CostReport
 
@@ -96,6 +102,93 @@ class TestJobsAndKeys:
         assert graph.n_vertices == 32
         with pytest.raises(ValueError):
             materialize_source(("nonsense", 1))
+
+
+class TestMatrixMemo:
+    """``materialize_source`` builds each matrix source once per process."""
+
+    def test_equal_sources_share_one_matrix(self):
+        source = suite_source("M8", 48, 5)
+        first = materialize_source(source)
+        assert materialize_source(suite_source("M8", 48, 5)) is first
+        assert materialize_source(list(source)) is first
+        loc = locality_source(32, 32, 16, 8, 50.0, seed=3)
+        assert materialize_source(loc) is materialize_source(tuple(loc))
+
+    def test_cached_arrays_are_read_only(self):
+        coo = materialize_source(suite_source("M8", 48, 5))
+        for array in (coo.row, coo.col, coo.values):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = array[0]
+            with pytest.raises(ValueError):
+                array += 0
+
+    def test_different_seed_or_dim_gives_another_matrix(self):
+        base = materialize_source(suite_source("M8", 48, 5))
+        other_seed = materialize_source(suite_source("M8", 48, 6))
+        other_dim = materialize_source(suite_source("M8", 64, 5))
+        assert other_seed is not base and other_dim is not base
+        assert other_dim.shape == (64, 64)
+        assert not (
+            np.array_equal(base.row, other_seed.row)
+            and np.array_equal(base.col, other_seed.col)
+        )
+        # Equal-valued fields of another type are another key.
+        int_loc = materialize_source(locality_source(32, 32, 16, 8, 50, seed=3))
+        assert int_loc is not materialize_source(locality_source(32, 32, 16, 8, 50.0, seed=3))
+
+    def test_memo_is_bounded(self):
+        assert matrix_memo.cache_info().maxsize == MATRIX_MEMO_SIZE > 0
+        matrix_memo.cache_clear()
+        for seed in range(MATRIX_MEMO_SIZE + 3):
+            materialize_source(locality_source(16, 16, 8, 4, 50.0, seed=seed))
+        assert matrix_memo.cache_info().currsize == MATRIX_MEMO_SIZE
+
+    def test_graph_sources_are_rebuilt(self):
+        before = matrix_memo.cache_info()
+        first = materialize_source(graph_source("G2", 32))
+        second = materialize_source(graph_source("G2", 32))
+        assert first is not second
+        assert first.n_vertices == second.n_vertices == 32
+        assert first.edges == second.edges
+        after = matrix_memo.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_no_job_mutates_a_shared_matrix(self):
+        """Every kernel/scheme pair and both apps, twice on one memoized source."""
+        config = SMASHConfig((2, 4, 16))
+        source = suite_source("M8", 48, 5)
+        jobs = [
+            kernel_job(kernel, scheme, source, SIM, smash_config=config)
+            for kernel in KERNEL_KINDS
+            for scheme in registered_schemes(kernel)
+        ]
+        graph = graph_source("G2", 32)
+        app_params = {"pagerank": {"iterations": 2}, "bc": {"max_sources": 2}}
+        jobs += [
+            app_job(app, scheme, graph, SIM, smash_config=config, **app_params[app])
+            for app in APP_KINDS
+            for scheme in ("taco_csr", "smash_hw")
+        ]
+
+        def dump(payloads):
+            return json.dumps(payloads, sort_keys=True).encode()
+
+        matrix_memo.cache_clear()
+        matrix = materialize_source(source)
+        shared = [dump([execute_job(job).to_dict() for job in jobs]) for _ in range(2)]
+        assert matrix_memo.cache_info().misses == 1
+        fresh = []
+        for job in jobs:
+            matrix_memo.cache_clear()
+            fresh.append(execute_job(job).to_dict())
+        assert shared[0] == shared[1] == dump(fresh)
+        # Values never reach a report, so compare the arrays themselves too.
+        matrix_memo.cache_clear()
+        rebuilt = materialize_source(source)
+        for name in ("row", "col", "values"):
+            assert getattr(matrix, name).tobytes() == getattr(rebuilt, name).tobytes()
 
 
 class TestSweepRunner:
