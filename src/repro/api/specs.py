@@ -34,7 +34,7 @@ identical cache key as the original (DESIGN.md section 15).
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union, cast
 
 from repro.api.registry import UnknownNameError, suggestion
@@ -144,7 +144,7 @@ def _freeze_params(params) -> Tuple[Tuple[str, Union[int, float, str]], ...]:
 # --------------------------------------------------------------------------- #
 def sim_to_payload(sim: SimConfig) -> Dict:
     """The JSON-ready form of a SimConfig (exactly the job-key encoding)."""
-    return asdict(sim)
+    return sim.to_payload()
 
 
 def sim_from_payload(payload: Mapping) -> SimConfig:

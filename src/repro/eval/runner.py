@@ -177,13 +177,17 @@ class Job:
     params: Tuple[Tuple[str, Union[int, float, str]], ...] = ()
 
     def payload(self) -> Dict:
-        """Canonical JSON-ready form of the job; the basis of its cache key."""
+        """Canonical JSON-ready form of the job; the basis of its cache key.
+
+        The sim part is encoded once per ``SimConfig`` instance, never per
+        equal value (:meth:`SimConfig.to_payload`); each call gets a fresh dict.
+        """
         return {
             "schema": CACHE_SCHEMA_VERSION,
             "kind": self.kind,
             "scheme": self.scheme,
             "source": list(self.source),
-            "sim": dataclasses.asdict(self.sim),
+            "sim": self.sim.to_payload(),
             "smash": list(self.smash.ratios) if self.smash is not None else None,
             "params": dict(self.params),
         }

@@ -44,6 +44,13 @@ from repro.store.query import inflate_rows
 #: Top-level fields a ``POST /sweeps`` body may carry.
 _SWEEP_FIELDS = frozenset({"specs", "sim"})
 
+#: Largest ``POST`` body (bytes) the daemon reads, far above any real sweep.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+
+
+class _UnreadBody(Exception):
+    """``(status, message)`` for a body rejected unread; the connection must close."""
+
 
 def _stats_to_dict(stats: SweepStats) -> Dict[str, int]:
     return dataclasses.asdict(stats)
@@ -209,6 +216,9 @@ class _SweepRequestHandler(BaseHTTPRequestHandler):
     """Routes the endpoints; every response body is a JSON object."""
 
     protocol_version = "HTTP/1.1"
+    # A response is two sends (headers, body); with Nagle on, the body waits
+    # ~40 ms for the client's delayed ACK (DESIGN.md section 15).
+    disable_nagle_algorithm = True
     server: SweepHTTPServer  # narrowed from BaseServer for .state/.quiet
 
     # ------------------------------------------------------------------ #
@@ -244,6 +254,11 @@ class _SweepRequestHandler(BaseHTTPRequestHandler):
             return
         try:
             payload = self._read_json()
+        except _UnreadBody as error:
+            # The body is still on the wire: the next request cannot be framed.
+            status, message = error.args
+            self._send(status, {"error": message}, close=True)
+            return
         except ValueError as error:
             self._send(400, {"error": str(error)})
             return
@@ -319,8 +334,14 @@ class _SweepRequestHandler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
-            raise ValueError("malformed Content-Length header") from None
-        if length <= 0:
+            length = -1
+        if length < 0:
+            raise _UnreadBody(400, "malformed Content-Length header")
+        if length > MAX_BODY_BYTES:
+            raise _UnreadBody(
+                413, f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+            )
+        if length == 0:
             raise ValueError("request body is empty")
         raw = self.rfile.read(length)
         try:
@@ -331,11 +352,13 @@ class _SweepRequestHandler(BaseHTTPRequestHandler):
             raise ValueError(f"request body must be a JSON object, got {type(payload).__name__}")
         return payload
 
-    def _send(self, status: int, payload: Dict) -> None:
+    def _send(self, status: int, payload: Dict, *, close: bool = False) -> None:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 

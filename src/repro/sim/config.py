@@ -7,7 +7,9 @@ Table 5 (the Intel Xeon Gold 5118 used for the software-only comparison).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import json
+from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from typing import Dict
 
 
@@ -140,6 +142,20 @@ class SimConfig:
             return replace(cache, size_bytes=max(min_size, cache.size_bytes // factor))
 
         return replace(base, l1=shrink(base.l1), l2=shrink(base.l2), l3=shrink(base.l3))
+
+    def to_payload(self) -> Dict:
+        """A fresh ``dataclasses.asdict`` of this config: the job-key encoding.
+
+        Encoded once per *instance*, never per equal value (``frequency_ghz=4``
+        and ``4.0`` are equal but encode differently); callers may mutate it.
+        """
+        return json.loads(self._payload_json)
+
+    @cached_property
+    def _payload_json(self) -> str:
+        # Stored in the instance __dict__: fine on a frozen dataclass, and
+        # invisible to eq, hash, repr, asdict and replace.
+        return json.dumps(asdict(self))
 
     def with_costs(self, **kwargs) -> "SimConfig":
         """Return a copy with some instruction costs overridden."""

@@ -15,12 +15,12 @@ from repro.api.config import (
 )
 from repro.api.registry import Registry, UnknownNameError
 from repro.api.session import Session
-from repro.api.specs import JobSpec, SweepResult, SweepSpec, Workload, suite_nnz
+from repro.api.specs import JobSpec, SweepResult, SweepSpec, Workload, sim_to_payload, suite_nnz
 from repro.eval.cli import main as cli_main
 from repro.eval.experiments import experiment_fig10_11
 from repro.eval.runner import SweepRunner, app_job, job_key, kernel_job
 from repro.kernels.schemes import run_spadd, run_spmm, run_spmv
-from repro.sim.config import SimConfig
+from repro.sim.config import CPUConfig, SimConfig
 from repro.sim.trace import DEFAULT_CHUNK_ACCESSES
 from repro.workloads.suite import generate_matrix
 from repro.core.config import SMASHConfig
@@ -228,6 +228,19 @@ class TestSpecLowering:
         ]
         for spec, job in pairs:
             assert job_key(spec.to_job(sim=SIM)) == job_key(job)
+
+    @pytest.mark.parametrize(
+        "sim",
+        [
+            SimConfig.default(), SIM, SIM.with_costs(bmu=2.0),
+            SimConfig(cpu=CPUConfig(frequency_ghz=4)),
+        ],
+        ids=["default", "scaled", "costs", "int_frequency"],
+    )
+    def test_sim_to_payload_is_the_job_key_encoding(self, sim):
+        job = kernel_job("spmv", "taco_csr", ("suite", "M8", 48, None), sim)
+        assert json.dumps(sim_to_payload(sim)) == json.dumps(job.payload()["sim"])
+        assert sim_to_payload(sim) is not sim_to_payload(sim)
 
     def test_smash_config_dropped_for_non_smash_schemes(self):
         config = SMASHConfig((8, 4, 16))

@@ -1,7 +1,9 @@
 """Tests for the sweep engine: jobs, keys, cache, parallel execution, CLI."""
 
+import dataclasses
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -33,7 +35,7 @@ from repro.eval.runner import (
 )
 from repro.eval.runner import _build_matrix as matrix_memo
 from repro.kernels.registry import registered_schemes
-from repro.sim.config import SimConfig
+from repro.sim.config import CacheConfig, CPUConfig, DRAMConfig, InstructionCosts, SimConfig
 from repro.sim.instrumentation import CostReport
 
 QUICK = ("M5", "M8")
@@ -102,6 +104,89 @@ class TestJobsAndKeys:
         assert graph.n_vertices == 32
         with pytest.raises(ValueError):
             materialize_source(("nonsense", 1))
+
+
+def _all_sections_non_default() -> SimConfig:
+    return SimConfig(
+        cpu=CPUConfig(
+            frequency_ghz=2, issue_width=2, rob_entries=64, load_queue_entries=16,
+            store_queue_entries=8, memory_level_parallelism=2.5, dependent_miss_exposure=0.7,
+        ),
+        l1=CacheConfig("L1", 16 * 1024, 4, 3, line_bytes=32, mshr_entries=6, prefetcher=False),
+        l2=CacheConfig("L2", 128 * 1024, 4, 10, mshr_entries=12),
+        l3=CacheConfig("L3", 512 * 1024, 8, 25, mshr_entries=32, prefetcher=False),
+        dram=DRAMConfig(
+            latency_cycles=150, channels=2, banks=8, open_row_policy=False,
+            capacity_bytes=2 * 1024 ** 3,
+        ),
+        costs=InstructionCosts(index=2.0, compute=0.5, load=1.5, store=3, branch=1.25, bmu=0.0),
+    )
+
+
+def _cpu_sim(frequency_ghz) -> SimConfig:
+    return SimConfig(cpu=CPUConfig(frequency_ghz=frequency_ghz))
+
+
+class TestSimPayloadMemo:
+    """``Job.payload()["sim"]`` is encoded once per SimConfig *instance*."""
+
+    SOURCE = suite_source("M8", 48)
+
+    @pytest.mark.parametrize(
+        "sim",
+        [SimConfig.default(), SimConfig.scaled(), _all_sections_non_default()],
+        ids=["default", "scaled", "non_default"],
+    )
+    def test_payload_sim_is_asdict_with_its_types(self, sim):
+        job = kernel_job("spmv", "taco_csr", self.SOURCE, sim)
+        for _ in range(2):  # cold memo, then warm
+            got = job.payload()["sim"]
+            assert got == dataclasses.asdict(sim)
+            # Dict equality says 4 == 4.0; the JSON text keeps int vs float.
+            assert json.dumps(got) == json.dumps(dataclasses.asdict(sim))
+
+    @pytest.mark.parametrize("order", [(4, 4.0), (4.0, 4)])
+    def test_equal_configs_keep_their_own_keys_in_either_order(self, order):
+        sims = [_cpu_sim(frequency_ghz) for frequency_ghz in order]
+        assert sims[0] == sims[1] and hash(sims[0]) == hash(sims[1])
+        keys = {
+            type(sim.cpu.frequency_ghz): job_key(kernel_job("spmv", "taco_csr", self.SOURCE, sim))
+            for sim in sims
+        }
+        assert keys[int] != keys[float]
+        # Each key is the one a never-keyed instance of the same config gets.
+        for frequency_ghz in order:
+            fresh = kernel_job("spmv", "taco_csr", self.SOURCE, _cpu_sim(frequency_ghz))
+            assert job_key(fresh) == keys[type(frequency_ghz)]
+
+    def test_mutating_a_payload_leaves_the_next_one_alone(self):
+        sim = _all_sections_non_default()
+        job = kernel_job("spmv", "taco_csr", self.SOURCE, sim)
+        key, expected = job_key(job), job.payload()
+        mutated = job.payload()
+        mutated["sim"]["cpu"]["frequency_ghz"] = 9.9
+        mutated["sim"]["l1"].clear()
+        del mutated["sim"]["dram"]
+        sim.to_payload()["costs"]["bmu"] = 7.0
+        assert job.payload() == expected
+        assert job_key(job) == key
+
+    def test_pickle_eq_hash_and_replace_ignore_the_memo(self):
+        sim = _all_sections_non_default()
+        job = kernel_job("spmv", "taco_csr", self.SOURCE, sim)
+        key = job_key(job)  # fills the memo before pickling, as pool dispatch does
+        clone = pickle.loads(pickle.dumps(job))
+        assert job_key(clone) == key
+        assert clone == job and clone.sim == sim and hash(clone.sim) == hash(sim)
+        assert repr(clone.sim) == repr(sim)
+        assert dataclasses.asdict(sim) == dataclasses.asdict(_all_sections_non_default())
+        same = dataclasses.replace(sim)
+        assert same == sim and hash(same) == hash(sim)
+        assert job_key(kernel_job("spmv", "taco_csr", self.SOURCE, same)) == key
+        # A replaced config encodes its own fields, not the original's memo.
+        slower = dataclasses.replace(sim, dram=DRAMConfig(latency_cycles=201))
+        assert slower.to_payload()["dram"] == dataclasses.asdict(slower.dram)
+        assert job_key(kernel_job("spmv", "taco_csr", self.SOURCE, slower)) != key
 
 
 class TestMatrixMemo:

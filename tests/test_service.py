@@ -7,7 +7,11 @@ JSON errors (400/404) instead of tracebacks. The servers under test bind
 an ephemeral loopback port via :func:`repro.service.server.running_server`.
 """
 
+import http.client
 import json
+import socket
+import statistics
+import time
 import urllib.error
 import urllib.request
 
@@ -16,7 +20,8 @@ import pytest
 from repro.api.config import RuntimeConfig
 from repro.api.session import Session
 from repro.api.specs import JobSpec, SweepSpec, Workload, sim_from_payload, sim_to_payload
-from repro.service.server import running_server
+from repro.service import server as server_module
+from repro.service.server import MAX_BODY_BYTES, running_server
 from repro.sim.config import SimConfig
 
 SIM = SimConfig.scaled(16)
@@ -278,6 +283,122 @@ class TestServiceErrors:
             )
             assert status == 503
             assert "closed Session" in body["error"]
+
+
+def _port(base):
+    return int(base.rsplit(":", 1)[1])
+
+
+def _raw_exchange(base, head):
+    """Send raw request bytes; return everything the daemon writes until EOF.
+
+    Reaching EOF without a reset means the daemon closed the connection
+    cleanly after its response.
+    """
+    with socket.create_connection(("127.0.0.1", _port(base)), timeout=30) as sock:
+        sock.sendall(head)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def _post_head(length, body=b""):
+    return (
+        b"POST /sweeps HTTP/1.1\r\nHost: localhost\r\n"
+        b"Content-Type: application/json\r\n"
+        + f"Content-Length: {length}\r\n\r\n".encode("ascii") + body
+    )
+
+
+class TestBodyLimits:
+    def test_oversized_body_is_413_and_closes_before_reading(self, service):
+        base, session = service
+        response = _raw_exchange(base, _post_head(MAX_BODY_BYTES + 1))
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413 ")
+        assert b"Connection: close" in head
+        assert "exceeds" in json.loads(body)["error"]
+        assert session.stats_snapshot().submitted == 0
+        # The daemon keeps serving new connections.
+        assert _request("GET", f"{base}/healthz")[0] == 200
+
+    @pytest.mark.parametrize("length", ["-1", "ten"])
+    def test_negative_or_malformed_length_is_400_and_closes(self, service, length):
+        base, _ = service
+        head, _, body = _raw_exchange(base, _post_head(length)).partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert "malformed Content-Length" in json.loads(body)["error"]
+
+    def test_body_at_the_limit_is_read_and_the_connection_stays_open(
+        self, service, monkeypatch
+    ):
+        base, _ = service
+        monkeypatch.setattr(server_module, "MAX_BODY_BYTES", 16)
+        connection = http.client.HTTPConnection("127.0.0.1", _port(base), timeout=30)
+        try:
+            connection.request("POST", "/sweeps", body=b"x" * 16)
+            response = connection.getresponse()
+            assert response.status == 400
+            assert "not valid JSON" in json.loads(response.read())["error"]
+            assert not response.will_close
+            connection.request("POST", "/sweeps", body=b"x" * 17)
+            response = connection.getresponse()
+            assert response.status == 413
+            response.read()
+            assert response.will_close
+        finally:
+            connection.close()
+
+
+class TestKeepAlive:
+    def test_keep_alive_round_trips_do_not_stall(self, service, monkeypatch):
+        """Sequential requests on one connection cost their work, not a timer.
+
+        With Nagle on, a response's body waits for the client's delayed ACK
+        of its headers: about 40 ms on Linux. 20 ms separates the two.
+        """
+        base, _ = service
+        nodelay = []
+        original_setup = server_module._SweepRequestHandler.setup
+
+        def setup(handler):
+            original_setup(handler)
+            nodelay.append(
+                handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+
+        monkeypatch.setattr(server_module._SweepRequestHandler, "setup", setup)
+        payload = _sweep_spec().to_payload()
+        assert _request("POST", f"{base}/sweeps", payload)[0] == 201  # fills the cache
+        body = json.dumps(payload)
+        connection = http.client.HTTPConnection("127.0.0.1", _port(base), timeout=30)
+
+        def round_trip(method, path, body=None):
+            start = time.perf_counter()
+            connection.request(method, path, body=body)
+            response = connection.getresponse()
+            document = json.loads(response.read())
+            assert response.status in (200, 201), document
+            return time.perf_counter() - start, document
+
+        try:
+            health = [round_trip("GET", "/healthz")[0] for _ in range(20)]
+            sweeps = []
+            for _ in range(5):
+                elapsed, created = round_trip("POST", "/sweeps", body)
+                assert created["stats"]["executed"] == 0
+                sweeps.append(elapsed)
+                sweeps.append(round_trip("GET", f"/sweeps/{created['id']}/reports")[0])
+        finally:
+            connection.close()
+        assert statistics.median(health) < 0.020, health
+        assert statistics.median(sweeps) < 0.020, sweeps
+        # One connection for the cache fill, one for all 30 keep-alive requests.
+        assert len(nodelay) == 2 and all(nodelay), nodelay
 
 
 class TestConcurrentClients:
