@@ -149,8 +149,8 @@ def run_pool_scaling(processes: int, cache_scale: int, dim: int = 1024) -> dict:
 
     The acceptance record of the chunked worker-pool path: the same 36-job
     batch as :func:`run_sweep_engine` runs once serially and twice on a
-    pool with chunked dispatch and worker warm-up (the defaults) — *cold*
-    includes pool creation and per-worker warm-up, *warm* reuses the pool.
+    pool with chunked dispatch (the default) — *cold* includes pool
+    creation and each worker's first jobs, *warm* reuses the pool.
     The cache is disabled, so every pass executes every job. On a >= 2-core
     host the warm pool pass must beat serial (``pool_beats_serial``,
     asserted by the CI multicore job); a single-core host records
@@ -329,19 +329,18 @@ def run_facade_overhead(cache_scale: int, dim: int = 512) -> dict:
 
 
 def run_replay_core(dims: tuple, density: float, seed: int, cache_scale: int) -> dict:
-    """Replay-core seconds per backend (reference/vectorized/compiled), per dim.
+    """Replay-core seconds of the vectorized engine vs the reference loop, per dim.
 
     Captures the access-trace segments every SpMV scheme emits (by shimming
     ``MemoryHierarchy.replay`` during one instrumented run per scheme), then
-    replays the captured segments through fresh hierarchies with each
-    backend, best of three timings.  This isolates exactly the component the
-    replay backends implement; all backends are bit-identical, so only the
-    wall clock differs.  The compiled (numba) tier is timed twice: a *cold*
-    first call that pays JIT compilation, then warm best-of-three.  When
-    numba is absent the compiled timings are recorded as null — never
-    fabricated from the fallback path.
+    replays the captured segments through fresh hierarchies, best of three
+    timings.  This isolates exactly the replay engine; the reference loop
+    is timed through the same ``replay`` entry point with
+    ``MIN_VECTORIZED_HEADS`` raised above every segment length, so the
+    vectorized engine hands each segment to the loop.  Both are
+    bit-identical, so only the wall clock differs.
     """
-    from repro.sim._replay_compiled import NUMBA_AVAILABLE
+    from repro.sim import _replay_core
     from repro.sim.memory import MemoryHierarchy
 
     results = {}
@@ -368,98 +367,65 @@ def run_replay_core(dims: tuple, density: float, seed: int, cache_scale: int) ->
         finally:
             MemoryHierarchy.replay = original
 
-        def replay_sweep(backend: str) -> float:
+        def replay_sweep() -> float:
             total = 0.0
             for segments in segments_per_scheme.values():
-                hierarchy = MemoryHierarchy(sim, replay_backend=backend)
+                hierarchy = MemoryHierarchy(sim)
                 start = time.perf_counter()
                 for segment in segments:
                     hierarchy.replay(*segment)
                 total += time.perf_counter() - start
             return total
 
+        cutoff = _replay_core.MIN_VECTORIZED_HEADS
         timings = {}
-        for backend in ("reference", "vectorized"):
-            replay_sweep(backend)  # warm caches/allocator
-            timings[backend] = min(replay_sweep(backend) for _ in range(3))
-        compiled_cold = compiled_warm = None
-        if NUMBA_AVAILABLE:
-            compiled_cold = replay_sweep("compiled")  # first call pays JIT
-            compiled_warm = min(replay_sweep("compiled") for _ in range(3))
+        for engine, min_heads in (("reference", sys.maxsize), ("vectorized", cutoff)):
+            _replay_core.MIN_VECTORIZED_HEADS = min_heads
+            try:
+                replay_sweep()  # warm caches/allocator
+                timings[engine] = min(replay_sweep() for _ in range(3))
+            finally:
+                _replay_core.MIN_VECTORIZED_HEADS = cutoff
         accesses = sum(
             seg[1].size for segs in segments_per_scheme.values() for seg in segs
         )
         speedup = timings["reference"] / timings["vectorized"]
-        record = {
+        results[f"dim{dim}"] = {
             "accesses": int(accesses),
             "reference_seconds": round(timings["reference"], 4),
             "vectorized_seconds": round(timings["vectorized"], 4),
             "speedup": round(speedup, 2),
-            "numba_available": NUMBA_AVAILABLE,
-            "compiled_cold_seconds": (
-                round(compiled_cold, 4) if compiled_cold is not None else None
-            ),
-            "compiled_seconds": (
-                round(compiled_warm, 4) if compiled_warm is not None else None
-            ),
-            "speedup_compiled": (
-                round(timings["reference"] / compiled_warm, 2)
-                if compiled_warm
-                else None
-            ),
         }
-        results[f"dim{dim}"] = record
-        compiled_note = (
-            f"  compiled {compiled_warm:.3f}s (cold {compiled_cold:.3f}s, "
-            f"{record['speedup_compiled']:.2f}x)"
-            if compiled_warm is not None
-            else "  compiled n/a (no numba)"
-        )
         print(
             f"  replay_core[{dim}] reference {timings['reference']:.3f}s  "
-            f"vectorized {timings['vectorized']:.3f}s  ({speedup:.2f}x)"
-            + compiled_note,
+            f"vectorized {timings['vectorized']:.3f}s  ({speedup:.2f}x)",
             flush=True,
         )
     return results
 
 
 def run_replay_phases(cache_scale: int, dim: int = 512) -> dict:
-    """Per-phase replay wall-clock (prefetch/LRU/stalls) per backend.
+    """Per-phase replay wall-clock (prefetch/LRU/stalls) of one serial sweep.
 
-    Runs one small serial sweep per backend with ``replay_profile`` enabled
-    and records the phase breakdown the profiling hooks collected.  The
-    reference loop is fused — it reports a single ``walk`` phase — while the
-    array engines break out prefetcher, LRU-classification and
-    stall-accumulation time.  The compiled backend appears only when numba
-    is importable (the fallback's numbers would just duplicate
-    ``vectorized``).
+    Runs one small serial sweep with ``replay_profile`` enabled and records
+    the phase breakdown the profiling hooks collected: prefetcher,
+    LRU-classification and stall-accumulation time of the vectorized
+    engine, plus a fused ``walk`` phase for the segments it hands to the
+    reference loop.
     """
-    from repro.sim._replay_compiled import NUMBA_AVAILABLE
-
     sim = SimConfig.default() if cache_scale <= 1 else SimConfig.scaled(cache_scale)
     jobs = [
         kernel_job("spmv", scheme, suite_source(key, dim), sim)
         for key in ("M2", "M8", "M13")
         for scheme in SCHEMES
     ]
-    backends = ["reference", "vectorized"] + (["compiled"] if NUMBA_AVAILABLE else [])
-    phases = {}
-    for backend in backends:
-        with SweepRunner(
-            processes=1, replay_backend=backend, replay_profile=True
-        ) as runner:
-            runner.run(jobs)
-            profile = dict(runner.last_profile or {})
-        phases[backend] = {name: round(seconds, 4) for name, seconds in profile.items()}
-        breakdown = "  ".join(f"{k} {v:.3f}s" for k, v in phases[backend].items())
-        print(f"  replay_phases[{backend}] {breakdown}", flush=True)
-    return {
-        "jobs": len(jobs),
-        "dim": dim,
-        "numba_available": NUMBA_AVAILABLE,
-        "backends": phases,
-    }
+    with SweepRunner(processes=1, replay_profile=True) as runner:
+        runner.run(jobs)
+        profile = dict(runner.last_profile or {})
+    phases = {name: round(seconds, 4) for name, seconds in profile.items()}
+    breakdown = "  ".join(f"{k} {v:.3f}s" for k, v in phases.items())
+    print(f"  replay_phases {breakdown}", flush=True)
+    return {"jobs": len(jobs), "dim": dim, "phases": phases}
 
 
 def run_store_query(cache_scale: int, dim: int = 1024) -> dict:
@@ -673,12 +639,15 @@ def main(argv=None) -> int:
             args.rss_dim, args.rss_density, args.seed, args.cache_scale
         )
     if "replay_core" in selected:
-        print(f"Replay-core pass: per-backend replay at dims {args.dim} and {2 * args.dim}")
+        print(
+            "Replay-core pass: vectorized vs reference replay at dims "
+            f"{args.dim} and {2 * args.dim}"
+        )
         payload["replay_core"] = run_replay_core(
             (args.dim, 2 * args.dim), args.density, args.seed, args.cache_scale
         )
     if "replay_phases" in selected:
-        print("Replay-phases pass: per-phase wall-clock per backend")
+        print("Replay-phases pass: per-phase replay wall-clock")
         payload["replay_phases"] = run_replay_phases(args.cache_scale)
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     total = payload.get("total_kernel_seconds")

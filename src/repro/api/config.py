@@ -3,23 +3,20 @@
 Every runtime knob that used to live in a scattered ``os.environ`` read —
 the worker-process count (``SMASH_REPRO_PROCESSES``), the trace chunk budget
 (``SMASH_REPRO_TRACE_CHUNK``), the report-cache location/enablement
-(``SMASH_REPRO_CACHE_DIR`` / ``SMASH_REPRO_CACHE``), the replay backend
-(``SMASH_REPRO_REPLAY_BACKEND``), and the sweep-service bind address
-(``SMASH_REPRO_SERVICE_HOST`` / ``SMASH_REPRO_SERVICE_PORT``) — is a field
-of the frozen
-:class:`RuntimeConfig`. :meth:`RuntimeConfig.from_env` is the *only* code in
-the library that reads ``os.environ``; everything else (the sweep runner,
+(``SMASH_REPRO_CACHE_DIR`` / ``SMASH_REPRO_CACHE``), and the sweep-service
+bind address (``SMASH_REPRO_SERVICE_HOST`` / ``SMASH_REPRO_SERVICE_PORT``) —
+is a field of the frozen :class:`RuntimeConfig`.
+:meth:`RuntimeConfig.from_env` is the *only* code in the library that reads
+``os.environ``; everything else (the sweep runner,
 the trace engine, the CLI) receives an explicit, validated value.
 
 None of these knobs can change a result: processes and cache only affect
 where/whether a job executes, the chunk budget only bounds peak replay
-memory (DESIGN.md section 10), the replay backend only selects which of
-three bit-identical engines replays the trace (DESIGN.md sections 12–13),
-the batching/profiling knobs only regroup or time those engines' calls,
-and the pool-dispatch knobs (``SMASH_REPRO_POOL_CHUNK`` /
-``SMASH_REPRO_POOL_WARMUP``, DESIGN.md section 17) only change how many
-jobs ride one IPC round-trip and when workers pay one-time backend setup.
-That is why none of them participate in the report-cache job key.
+memory (DESIGN.md section 10), the batching/profiling knobs only regroup
+or time the replay engine's calls (DESIGN.md section 13), and the
+pool-dispatch knob (``SMASH_REPRO_POOL_CHUNK``, DESIGN.md section 17) only
+changes how many jobs ride one IPC round-trip. That is why none of them
+participate in the report-cache job key.
 """
 
 from __future__ import annotations
@@ -30,11 +27,6 @@ import pathlib
 from dataclasses import dataclass
 from typing import Optional, Union, cast
 
-from repro.sim._replay_core import (
-    DEFAULT_REPLAY_BACKEND,
-    REPLAY_BACKEND_ENV_VAR,
-    REPLAY_BACKENDS,
-)
 from repro.sim.trace import CHUNK_ENV_VAR, DEFAULT_CHUNK_ACCESSES
 
 #: Default location of the on-disk report cache (relative to the CWD).
@@ -52,20 +44,12 @@ CACHE_ENV_VAR = "SMASH_REPRO_CACHE"
 #: Re-exported so runtime-config users need only this module.
 TRACE_CHUNK_ENV_VAR = CHUNK_ENV_VAR
 
-#: Environment variable selecting the replay backend (re-exported).
-BACKEND_ENV_VAR = REPLAY_BACKEND_ENV_VAR
-
 #: Environment variable setting the replay batch size (jobs per flush).
 REPLAY_BATCH_ENV_VAR = "SMASH_REPRO_REPLAY_BATCH"
 
 #: Environment variable setting the worker-pool dispatch chunk (jobs per
 #: pool task; ``0`` = auto-sized from the batch and worker count).
 POOL_CHUNK_ENV_VAR = "SMASH_REPRO_POOL_CHUNK"
-
-#: Environment variable disabling worker warm-up (``0``/``false``/``off``);
-#: warm workers pre-pay the replay backend's one-time cost (numba JIT for
-#: the compiled tier) at pool start instead of on their first real job.
-POOL_WARMUP_ENV_VAR = "SMASH_REPRO_POOL_WARMUP"
 
 #: Environment variable enabling per-phase replay profiling.
 REPLAY_PROFILE_ENV_VAR = "SMASH_REPRO_REPLAY_PROFILE"
@@ -111,22 +95,16 @@ class RuntimeConfig:
     ``cache_dir`` locates the on-disk report cache; ``None`` disables it.
     ``trace_chunk`` is the per-segment access budget of the bounded-memory
     trace replay; ``None`` (or 0, normalized to ``None``) restores the
-    monolithic build-then-replay path. ``replay_backend`` names the engine
-    behind ``MemoryHierarchy.replay`` (an entry of
-    :data:`repro.sim._replay_core.REPLAY_BACKENDS`; normalized to its
-    canonical name). ``replay_batch`` groups up to that many kernel jobs'
-    trace segments into one backend invocation during serial sweeps (1 =
-    unbatched). ``replay_profile`` collects per-phase replay wall-clock
-    into ``SweepResult.stats``. ``pool_chunk`` is the worker-pool dispatch
-    granularity — up to that many cache-miss jobs travel in one pool task,
-    so one IPC round-trip carries a whole batch (0 = auto: each batch is
-    split evenly over the workers; 1 = the historical one-job-per-future
-    dispatch). ``pool_warmup`` pre-pays the replay backend's one-time setup
-    cost (numba JIT compilation for the compiled tier) in every worker at
-    pool start instead of on its first real job.
-    ``service_host``/``service_port`` are where
-    the ``repro.service`` daemon binds (``smash-repro serve``; port 0 asks
-    the OS for an ephemeral port). ``store_ingest`` enables the incremental
+    monolithic build-then-replay path. ``replay_batch`` groups up to that
+    many kernel jobs' trace segments into one replay call during serial
+    sweeps (1 = unbatched). ``replay_profile`` collects per-phase replay
+    wall-clock into ``SweepResult.stats``. ``pool_chunk`` is the
+    worker-pool dispatch granularity — up to that many cache-miss jobs
+    travel in one pool task, so one IPC round-trip carries a whole batch
+    (0 = auto: each batch is split evenly over the workers; 1 = the
+    historical one-job-per-future dispatch). ``service_host``/
+    ``service_port`` are where the ``repro.service`` daemon binds
+    (``smash-repro serve``; port 0 asks the OS for an ephemeral port). ``store_ingest`` enables the incremental
     result-store index (``repro.store``) on cached sweeps; ``store_index``
     relocates the sqlite index file (``None`` = ``index.sqlite`` under the
     cache root). Like every other knob here they say *how* work is
@@ -137,11 +115,9 @@ class RuntimeConfig:
     processes: int = 1
     cache_dir: Optional[Union[str, pathlib.Path]] = DEFAULT_CACHE_DIR
     trace_chunk: Optional[int] = DEFAULT_CHUNK_ACCESSES
-    replay_backend: str = DEFAULT_REPLAY_BACKEND
     replay_batch: int = 1
     replay_profile: bool = False
     pool_chunk: int = 0
-    pool_warmup: bool = True
     service_host: str = DEFAULT_SERVICE_HOST
     service_port: int = DEFAULT_SERVICE_PORT
     store_ingest: bool = True
@@ -166,14 +142,6 @@ class RuntimeConfig:
                 # 0 is the documented spelling of "monolithic" in the
                 # environment knob; normalize so there is one falsy value.
                 object.__setattr__(self, "trace_chunk", None)
-        try:
-            canonical = REPLAY_BACKENDS.resolve(self.replay_backend)
-        except KeyError:
-            raise ValueError(
-                f"replay backend must be one of {sorted(REPLAY_BACKENDS.names())}, "
-                f"got {self.replay_backend!r}"
-            ) from None
-        object.__setattr__(self, "replay_backend", canonical)
         if isinstance(self.replay_batch, bool) or not isinstance(self.replay_batch, int):
             raise ValueError(
                 f"replay batch size must be a positive integer, got {self.replay_batch!r}"
@@ -194,10 +162,6 @@ class RuntimeConfig:
         if self.pool_chunk < 0:
             raise ValueError(
                 f"pool chunk size must be non-negative (0 = auto), got {self.pool_chunk}"
-            )
-        if not isinstance(self.pool_warmup, bool):
-            raise ValueError(
-                f"pool warm-up flag must be a bool, got {self.pool_warmup!r}"
             )
         if not isinstance(self.service_host, str) or not self.service_host:
             raise ValueError(
@@ -232,11 +196,9 @@ class RuntimeConfig:
         processes: Optional[int] = None,
         cache_dir: object = _UNSET,
         trace_chunk: object = _UNSET,
-        replay_backend: Optional[str] = None,
         replay_batch: Optional[int] = None,
         replay_profile: Optional[bool] = None,
         pool_chunk: Optional[int] = None,
-        pool_warmup: Optional[bool] = None,
         service_host: Optional[str] = None,
         service_port: Optional[int] = None,
         store_ingest: Optional[bool] = None,
@@ -261,11 +223,6 @@ class RuntimeConfig:
         if trace_chunk is _UNSET:
             raw = os.environ.get(CHUNK_ENV_VAR, "").strip()
             trace_chunk = _parse_int(raw, CHUNK_ENV_VAR) if raw else DEFAULT_CHUNK_ACCESSES
-        backend_from_env = replay_backend is None
-        if replay_backend is None:
-            replay_backend = (
-                os.environ.get(REPLAY_BACKEND_ENV_VAR, "").strip() or DEFAULT_REPLAY_BACKEND
-            )
         if replay_batch is None:
             raw = os.environ.get(REPLAY_BATCH_ENV_VAR, "").strip()
             replay_batch = _parse_int(raw, REPLAY_BATCH_ENV_VAR) if raw else 1
@@ -275,9 +232,6 @@ class RuntimeConfig:
         if pool_chunk is None:
             raw = os.environ.get(POOL_CHUNK_ENV_VAR, "").strip()
             pool_chunk = _parse_int(raw, POOL_CHUNK_ENV_VAR) if raw else 0
-        if pool_warmup is None:
-            raw = os.environ.get(POOL_WARMUP_ENV_VAR, "").strip().lower()
-            pool_warmup = raw not in _FALSY if raw else True
         if service_host is None:
             service_host = (
                 os.environ.get(SERVICE_HOST_ENV_VAR, "").strip() or DEFAULT_SERVICE_HOST
@@ -292,27 +246,20 @@ class RuntimeConfig:
             store_ingest = raw not in _FALSY if raw else True
         if store_index is _UNSET:
             store_index = os.environ.get(STORE_INDEX_ENV_VAR, "").strip() or None
-        try:
-            # The _UNSET sentinels force ``object``-typed parameters; by
-            # here both have been resolved to real field values.
-            return cls(
-                processes=processes,
-                cache_dir=cast(Optional[Union[str, pathlib.Path]], cache_dir),
-                trace_chunk=cast(Optional[int], trace_chunk),
-                replay_backend=replay_backend,
-                replay_batch=replay_batch,
-                replay_profile=replay_profile,
-                pool_chunk=pool_chunk,
-                pool_warmup=pool_warmup,
-                service_host=service_host,
-                service_port=service_port,
-                store_ingest=store_ingest,
-                store_index=cast(Optional[Union[str, pathlib.Path]], store_index),
-            )
-        except ValueError as error:
-            if backend_from_env and "replay backend" in str(error):
-                raise ValueError(f"{REPLAY_BACKEND_ENV_VAR}: {error}") from None
-            raise
+        # The _UNSET sentinels force ``object``-typed parameters; by here
+        # both have been resolved to real field values.
+        return cls(
+            processes=processes,
+            cache_dir=cast(Optional[Union[str, pathlib.Path]], cache_dir),
+            trace_chunk=cast(Optional[int], trace_chunk),
+            replay_batch=replay_batch,
+            replay_profile=replay_profile,
+            pool_chunk=pool_chunk,
+            service_host=service_host,
+            service_port=service_port,
+            store_ingest=store_ingest,
+            store_index=cast(Optional[Union[str, pathlib.Path]], store_index),
+        )
 
     # ------------------------------------------------------------------ #
     # Derived views
@@ -330,10 +277,7 @@ class RuntimeConfig:
         """One-line human-readable summary."""
         cache = str(self.cache_dir) if self.cache_enabled else "disabled"
         chunk = self.trace_chunk if self.trace_chunk is not None else "monolithic"
-        summary = (
-            f"processes={self.processes}, cache={cache}, trace_chunk={chunk}, "
-            f"replay={self.replay_backend}"
-        )
+        summary = f"processes={self.processes}, cache={cache}, trace_chunk={chunk}"
         if self.replay_batch != 1:
             summary += f", replay_batch={self.replay_batch}"
         if self.replay_profile:
@@ -341,8 +285,6 @@ class RuntimeConfig:
         if self.processes > 1:
             chunk = self.pool_chunk if self.pool_chunk else "auto"
             summary += f", pool_chunk={chunk}"
-            if not self.pool_warmup:
-                summary += ", pool_warmup=off"
         if not self.store_ingest:
             summary += ", store=off"
         elif self.store_index is not None:

@@ -5,7 +5,7 @@ A :class:`Session` binds the three configuration axes together —
 * ``sim``: the simulated machine (:class:`~repro.sim.config.SimConfig`),
 * ``smash``: a default bitmap configuration for SMASH schemes,
 * ``runtime``: *how* to execute (:class:`~repro.api.config.RuntimeConfig`:
-  worker processes, report cache, trace chunk budget, replay backend)
+  worker processes, report cache, trace chunk budget)
 
 — and owns the resulting sweep engine: its persistent worker pool, its
 on-disk report cache and its job statistics. Work is described
@@ -45,8 +45,7 @@ from repro.api.config import RuntimeConfig
 from repro.api.registry import UnknownNameError, suggestion
 from repro.api.specs import JobSpec, SweepResult, SweepSpec
 from repro.core.config import SMASHConfig
-from repro.eval.runner import USE_ENV_BACKEND, USE_ENV_CHUNK, SweepRunner, SweepStats
-from repro.sim import _replay_core
+from repro.eval.runner import USE_ENV_CHUNK, SweepRunner, SweepStats
 from repro.sim import trace as _trace
 from repro.sim.config import SimConfig
 from repro.sim.instrumentation import CostReport
@@ -94,15 +93,9 @@ class Session:
                     if runner.trace_chunk is not USE_ENV_CHUNK
                     else env_defaults.trace_chunk
                 ),
-                replay_backend=(
-                    cast(str, runner.replay_backend)
-                    if runner.replay_backend is not USE_ENV_BACKEND
-                    else env_defaults.replay_backend
-                ),
                 replay_batch=runner.replay_batch,
                 replay_profile=runner.replay_profile,
                 pool_chunk=runner.pool_chunk,
-                pool_warmup=runner.pool_warmup,
             )
             self._runner = runner
         else:
@@ -111,11 +104,9 @@ class Session:
                 processes=self.runtime.processes,
                 cache_dir=self.runtime.cache_dir,
                 trace_chunk=self.runtime.trace_chunk,
-                replay_backend=self.runtime.replay_backend,
                 replay_batch=self.runtime.replay_batch,
                 replay_profile=self.runtime.replay_profile,
                 pool_chunk=self.runtime.pool_chunk,
-                pool_warmup=self.runtime.pool_warmup,
             )
         # Keep the result-store index warm: every report the cache persists
         # is ingested into the sqlite index as it lands (repro.store;
@@ -217,9 +208,7 @@ class Session:
         smash = kwargs.pop("smash", None)
         sim = kwargs.pop("sim", None)
         seed = kwargs.pop("seed", None)
-        with _trace.chunk_override(self.runtime.trace_chunk), _replay_core.backend_override(
-            self.runtime.replay_backend
-        ):
+        with _trace.chunk_override(self.runtime.trace_chunk):
             return KERNEL_RUNNERS[kernel](
                 scheme,
                 *operands,

@@ -27,9 +27,8 @@ Serve sweeps over HTTP from one shared session/cache/pool::
 The CLI is a thin shell over :class:`repro.api.Session`: flags and the
 documented environment knobs (``SMASH_REPRO_PROCESSES``,
 ``SMASH_REPRO_TRACE_CHUNK``, ``SMASH_REPRO_CACHE_DIR``,
-``SMASH_REPRO_CACHE``, ``SMASH_REPRO_REPLAY_BACKEND``,
-``SMASH_REPRO_REPLAY_BATCH``, ``SMASH_REPRO_REPLAY_PROFILE``,
-``SMASH_REPRO_POOL_CHUNK``, ``SMASH_REPRO_POOL_WARMUP``,
+``SMASH_REPRO_CACHE``, ``SMASH_REPRO_REPLAY_BATCH``,
+``SMASH_REPRO_REPLAY_PROFILE``, ``SMASH_REPRO_POOL_CHUNK``,
 ``SMASH_REPRO_SERVICE_HOST``, ``SMASH_REPRO_SERVICE_PORT``) are folded
 into one validated
 :class:`~repro.api.config.RuntimeConfig` — explicit flags win — and every
@@ -92,24 +91,12 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
         help="disable the on-disk report cache for this invocation",
     )
     parser.add_argument(
-        "--replay-backend",
-        type=str,
-        default=None,
-        metavar="NAME",
-        help=(
-            "replay engine for the memory hierarchy: 'vectorized' (default), "
-            "'reference', or 'compiled' (numba JIT; falls back to "
-            "'vectorized' with a warning when numba is missing; also via "
-            "$SMASH_REPRO_REPLAY_BACKEND); results are bit-identical either way"
-        ),
-    )
-    parser.add_argument(
         "--replay-batch",
         type=int,
         default=None,
         metavar="N",
         help=(
-            "merge up to N kernel jobs' trace replays per backend call in "
+            "merge up to N kernel jobs' trace replays per replay call in "
             "serial sweeps (default: $SMASH_REPRO_REPLAY_BATCH or 1 = "
             "unbatched); results are bit-identical either way"
         ),
@@ -133,14 +120,6 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
             "workers (default), 1 = one job per task, N = fixed chunks "
             "(also via $SMASH_REPRO_POOL_CHUNK); results are bit-identical "
             "either way"
-        ),
-    )
-    parser.add_argument(
-        "--no-pool-warmup",
-        action="store_true",
-        help=(
-            "skip pre-JIT warm-up of the replay backend in pool workers "
-            "(also via $SMASH_REPRO_POOL_WARMUP=0)"
         ),
     )
 
@@ -283,11 +262,9 @@ def _build_session(args: argparse.Namespace) -> Session:
     """
     kwargs = {
         "processes": args.processes,
-        "replay_backend": args.replay_backend,
         "replay_batch": args.replay_batch,
         "replay_profile": args.replay_profile,
         "pool_chunk": args.pool_chunk,
-        "pool_warmup": False if args.no_pool_warmup else None,
         # Only the serve subcommand defines the bind flags; the service
         # knobs are harmless defaults everywhere else.
         "service_host": getattr(args, "host", None),

@@ -46,17 +46,12 @@ import os
 import pathlib
 import threading
 import weakref
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import wait as _futures_wait
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.api.config import (
-    DEFAULT_CACHE_DIR,
-    DEFAULT_REPLAY_BACKEND,
-    PROCESSES_ENV_VAR,
-    RuntimeConfig,
-)
+from repro.api.config import DEFAULT_CACHE_DIR, PROCESSES_ENV_VAR, RuntimeConfig
 from repro.core.config import SMASHConfig
 from repro.sim import _replay_core
 from repro.sim import trace as _trace
@@ -70,10 +65,6 @@ CACHE_SCHEMA_VERSION = 1
 #: Sentinel for "no explicit trace-chunk override": kernels fall back to the
 #: ``SMASH_REPRO_TRACE_CHUNK`` environment default.
 USE_ENV_CHUNK = object()
-
-#: Sentinel for "no explicit replay-backend override": hierarchies fall back
-#: to the ``SMASH_REPRO_REPLAY_BACKEND`` environment default.
-USE_ENV_BACKEND = object()
 
 #: Kernel job kinds (dispatched through the scheme runners) and application
 #: job kinds (dispatched through the graph drivers).
@@ -283,7 +274,7 @@ def _execute_jobs_batched(jobs: Sequence[Job], batch: int) -> List[Dict]:
     Runs of consecutive kernel-kind jobs are grouped up to ``batch``; each
     group's trace segments defer through one
     :class:`~repro.sim.memory.ReplayBatcher` and replay in a single merged
-    backend invocation per hierarchy at the end of the group, after which
+    replay call per hierarchy at the end of the group, after which
     the memory-derived report fields are rebuilt from the hierarchy's final
     statistics (everything else in a kernel report is trace-independent).
     Application jobs merge several phase reports mid-run, so they execute
@@ -339,7 +330,7 @@ def _execute_chunk_payloads(jobs: List[Job], batch: int) -> List[Dict]:
 
     Executes a whole dispatch chunk inside the worker with the per-worker
     replay batcher: the chunk's kernel jobs defer their trace segments and
-    flush through one merged backend call per hierarchy. An explicit
+    flush through one merged replay call per hierarchy. An explicit
     ``replay_batch > 1`` bounds the group size as on the serial path;
     otherwise the whole chunk batches as one group (result-neutral either
     way by the chunk-boundary contract). Payload order matches job order.
@@ -466,32 +457,14 @@ def resolve_processes(processes: Optional[int] = None) -> int:
     return RuntimeConfig.from_env(processes=processes).processes
 
 
-def _init_worker_overrides(
-    has_chunk: bool,
-    chunk: Optional[int],
-    has_backend: bool,
-    backend: Optional[str],
-    warmup: bool = False,
-) -> None:
-    """Worker-pool initializer: pin runtime overrides, pre-warm the backend.
+def _init_worker_chunk(chunk: Optional[int]) -> None:
+    """Worker-pool initializer: pin the runner's trace-chunk override.
 
-    The "no override" sentinels cannot cross the process boundary (pickling
-    creates fresh objects that no longer compare identical), so presence is
-    carried as explicit booleans. With ``warmup`` the worker pays the
-    effective replay backend's one-time setup cost — numba JIT for
-    ``"compiled"`` — at pool start via
-    :func:`repro.sim.memory.prime_replay_backend`, so the first real job is
-    never the one that compiles. Overrides are pinned first, so the warm-up
-    primes the backend the jobs will actually use.
+    The :data:`USE_ENV_CHUNK` sentinel cannot cross the process boundary
+    (pickling creates a fresh object that no longer compares identical), so
+    the pool installs this initializer only when the runner pins a chunk.
     """
-    if has_chunk:
-        _trace.set_chunk_override(chunk)
-    if has_backend:
-        _replay_core.set_backend_override(backend)
-    if warmup:
-        from repro.sim.memory import prime_replay_backend
-
-        prime_replay_backend()
+    _trace.set_chunk_override(chunk)
 
 
 class SweepRunner:
@@ -503,24 +476,23 @@ class SweepRunner:
     across :meth:`run`/:meth:`submit` calls (one pool for a whole
     multi-experiment sweep) until :meth:`close`. ``cache_dir=None`` disables
     the on-disk cache (in-batch deduplication still applies). ``trace_chunk``
-    pins the bounded-memory replay budget and ``replay_backend`` the replay
-    engine for this runner's jobs — serial execution wraps process-local
-    overrides, pool workers are initialized with them — while the
-    :data:`USE_ENV_CHUNK` / :data:`USE_ENV_BACKEND` defaults defer to the
-    environment knobs. ``replay_batch`` groups up to that many consecutive
+    pins the bounded-memory replay budget for this runner's jobs — serial
+    execution wraps a process-local override, pool workers are initialized
+    with it — while the :data:`USE_ENV_CHUNK` default defers to the
+    environment knob. ``replay_batch`` groups up to that many consecutive
     kernel-job cache misses per serial batch, deferring their trace replays
-    into one merged backend invocation each (see
+    into one merged replay call each (see
     :class:`repro.sim.memory.ReplayBatcher`); ``replay_profile`` collects
     per-phase replay wall-clock of serial execution into
     :attr:`last_profile`. ``pool_chunk`` sets how many cache misses one
     worker-pool task carries (0 = auto-split across ``processes * 4``
     tasks, 1 = the historical one-job-per-task dispatch) — inside a worker
-    a chunk's kernel jobs batch their replays through one merged backend
-    call per hierarchy, exactly as the serial batcher does — and
-    ``pool_warmup`` (default on) pre-JITs the replay backend in each worker
-    at pool start. Results are independent of all eight knobs — ``None``
-    defers ``replay_batch``/``replay_profile``/``pool_chunk``/
-    ``pool_warmup`` to their environment variables.
+    a chunk's kernel jobs batch their replays through one merged replay
+    call per hierarchy, exactly as the serial batcher does. Results are
+    independent of all six knobs — ``None`` defers ``replay_batch``/
+    ``replay_profile``/``pool_chunk`` to their environment variables. A
+    worker killed mid-sweep breaks the pool; the runner then replaces the
+    pool and re-dispatches the jobs it lost, once (DESIGN.md section 17).
 
     The runner is safe for concurrent use from multiple threads
     (DESIGN.md section 15). Scheduling is *single-flight*: an in-flight
@@ -530,10 +502,10 @@ class SweepRunner:
     statistics, the in-flight table, cache loads/stores and pool creation)
     is guarded by one scheduler lock; serial in-process execution is
     additionally serialized by an execution lock, because the process-local
-    trace-chunk/replay-backend overrides are module-level state that must
-    not be entered concurrently. The scheduler lock is never held while a
-    job executes, and the execution lock is never acquired while the
-    scheduler lock is held.
+    trace-chunk override and replay profile sink are module-level state
+    that must not be entered concurrently. The scheduler lock is never held
+    while a job executes, and the execution lock is never acquired while
+    the scheduler lock is held.
     """
 
     def __init__(
@@ -541,33 +513,26 @@ class SweepRunner:
         processes: Optional[int] = None,
         cache_dir: Optional[Union[str, pathlib.Path]] = None,
         trace_chunk: object = USE_ENV_CHUNK,
-        replay_backend: object = USE_ENV_BACKEND,
         replay_batch: Optional[int] = None,
         replay_profile: Optional[bool] = None,
         pool_chunk: Optional[int] = None,
-        pool_warmup: Optional[bool] = None,
     ) -> None:
         self.processes = resolve_processes(processes)
         self.cache = ReportCache(cache_dir) if cache_dir is not None else None
         self.stats = SweepStats()
         self.trace_chunk = trace_chunk
-        self.replay_backend = replay_backend
-        # Validate through RuntimeConfig (also the env fallback for None);
-        # the explicit backend suppresses that knob's unrelated env read.
+        # Validate through RuntimeConfig (also the env fallback for None).
         resolved = RuntimeConfig.from_env(
             processes=1,
             cache_dir=None,
             trace_chunk=None,
-            replay_backend=DEFAULT_REPLAY_BACKEND,
             replay_batch=replay_batch,
             replay_profile=replay_profile,
             pool_chunk=pool_chunk,
-            pool_warmup=pool_warmup,
         )
         self.replay_batch = resolved.replay_batch
         self.replay_profile = resolved.replay_profile
         self.pool_chunk = resolved.pool_chunk
-        self.pool_warmup = resolved.pool_warmup
         #: Per-phase replay seconds of the last :meth:`run` call's serial
         #: execution (``None`` until a profiled run happens).
         self.last_profile: Optional[Dict[str, float]] = None
@@ -577,7 +542,7 @@ class SweepRunner:
         #: loads/stores and pool creation. Never held while a job executes.
         self._lock = threading.Lock()
         #: Execution lock: serializes in-process job execution, because the
-        #: process-local chunk/backend override contexts are module-level
+        #: process-local chunk override and profile contexts are module-level
         #: state. Acquired only while the scheduler lock is NOT held.
         self._exec_lock = threading.Lock()
         #: Single-flight table: job key -> future resolving to the job's
@@ -593,27 +558,36 @@ class SweepRunner:
     def _ensure_pool(self) -> ProcessPoolExecutor:
         with self._lock:
             if self._pool is None:
-                has_chunk = self.trace_chunk is not USE_ENV_CHUNK
-                has_backend = self.replay_backend is not USE_ENV_BACKEND
-                if not has_chunk and not has_backend and not self.pool_warmup:
+                if self.trace_chunk is USE_ENV_CHUNK:
                     pool = ProcessPoolExecutor(max_workers=self.processes)
                 else:
                     pool = ProcessPoolExecutor(
                         max_workers=self.processes,
-                        initializer=_init_worker_overrides,
-                        initargs=(
-                            has_chunk,
-                            self.trace_chunk if has_chunk else None,
-                            has_backend,
-                            self.replay_backend if has_backend else None,
-                            self.pool_warmup,
-                        ),
+                        initializer=_init_worker_chunk,
+                        initargs=(self.trace_chunk,),
                     )
                 self._pool = pool
                 # Shut the workers down when the runner is garbage collected,
                 # not only on explicit close().
                 self._finalizer = weakref.finalize(self, pool.shutdown, wait=False)
             return self._pool
+
+    def _discard_pool(self, broken: ProcessPoolExecutor) -> None:
+        """Drop ``broken`` so the next :meth:`_ensure_pool` builds a fresh pool.
+
+        Idempotent per pool: when one dead worker fails several chunks at
+        once, only the first caller discards it, and the others find the
+        replacement already in place. ``shutdown(wait=False)`` because this
+        may run on the broken pool's own management thread.
+        """
+        with self._lock:
+            if self._pool is not broken:
+                return
+            self._pool = None
+            finalizer, self._finalizer = self._finalizer, None
+        if finalizer is not None:
+            finalizer.detach()
+        broken.shutdown(wait=False)
 
     def drain(self) -> None:
         """Block until every currently in-flight job has resolved."""
@@ -707,10 +681,6 @@ class SweepRunner:
                 with contextlib.ExitStack() as overrides:
                     if self.trace_chunk is not USE_ENV_CHUNK:
                         overrides.enter_context(_trace.chunk_override(self.trace_chunk))
-                    if self.replay_backend is not USE_ENV_BACKEND:
-                        overrides.enter_context(
-                            _replay_core.backend_override(self.replay_backend)
-                        )
                     profile = None
                     if self.replay_profile:
                         profile = overrides.enter_context(
@@ -755,19 +725,10 @@ class SweepRunner:
         the chunk callback; single-job chunks take the historical
         one-job-per-task entry point.
         """
-        pool = self._ensure_pool()
         chunk_size = self._effective_pool_chunk(len(owned))
         for start in range(0, len(owned), chunk_size):
-            chunk = owned[start : start + chunk_size]
             try:
-                if len(chunk) == 1:
-                    key, job, future = chunk[0]
-                    task = pool.submit(_execute_job_payload, job)
-                    task.add_done_callback(self._pool_callback(key, job, future))
-                else:
-                    jobs = [job for _, job, _ in chunk]
-                    task = pool.submit(_execute_chunk_payloads, jobs, self.replay_batch)
-                    task.add_done_callback(self._pool_chunk_callback(chunk))
+                self._dispatch_chunk(owned[start : start + chunk_size], retry=True)
             except BaseException as error:
                 # A failed pool submission (e.g. pool already shut down)
                 # must still resolve every owned future — this chunk and the
@@ -776,38 +737,62 @@ class SweepRunner:
                     self._resolve_error(failed_key, failed_future, error)
                 raise
 
-    def _pool_callback(
-        self, key: str, job: Job, future: "Future[Dict]"
-    ) -> Callable[["Future[Dict]"], None]:
-        def done(task: "Future[Dict]") -> None:
-            error = task.exception()
-            if error is not None:
-                self._resolve_error(key, future, error)
-                return
-            try:
-                self._resolve(key, job, future, task.result())
-            except BaseException as store_error:  # e.g. cache store failed
-                self._resolve_error(key, future, store_error)
+    def _dispatch_chunk(
+        self, chunk: List[Tuple[str, Job, "Future[Dict]"]], retry: bool
+    ) -> None:
+        """Submit one chunk to the pool, replacing a broken pool at most once.
 
-        return done
+        A worker that dies (SIGKILL, OOM) breaks the whole
+        ``ProcessPoolExecutor``: submissions raise and every pending task
+        fails with :class:`~concurrent.futures.BrokenExecutor`. With
+        ``retry`` the broken pool is discarded, a fresh one is built and
+        the chunk is submitted again; a second break fails the chunk. The
+        jobs were counted in ``executed`` when they were first owned, so a
+        re-dispatch leaves the counters exact.
+        """
+        pool = self._ensure_pool()
+        try:
+            if len(chunk) == 1:
+                task = pool.submit(_execute_job_payload, chunk[0][1])
+            else:
+                jobs = [job for _, job, _ in chunk]
+                task = pool.submit(_execute_chunk_payloads, jobs, self.replay_batch)
+        except BrokenExecutor:
+            if not retry:
+                raise
+            self._discard_pool(pool)
+            self._dispatch_chunk(chunk, retry=False)
+            return
+        task.add_done_callback(self._pool_chunk_callback(pool, chunk, retry))
 
     def _pool_chunk_callback(
-        self, chunk: List[Tuple[str, Job, "Future[Dict]"]]
-    ) -> Callable[["Future[List[Dict]]"], None]:
-        """Fan one chunk task's payload list back out to its job futures.
+        self,
+        pool: ProcessPoolExecutor,
+        chunk: List[Tuple[str, Job, "Future[Dict]"]],
+        retry: bool,
+    ) -> Callable[["Future"], None]:
+        """Fan one pool task's payloads back out to its job futures.
 
         A failing job fails its whole chunk: none of the chunk's payloads
         exist (the worker raised before returning), so every joiner sees
         the error, nothing is cached, and a retry re-executes the chunk's
         jobs — the same retry semantics as per-job dispatch, at chunk
-        granularity.
+        granularity. A broken pool is the exception: the chunk is
+        re-dispatched once on a fresh pool (:meth:`_dispatch_chunk`).
         """
 
-        def done(task: "Future[List[Dict]]") -> None:
+        def done(task: "Future") -> None:
             error = task.exception()
+            if isinstance(error, BrokenExecutor) and retry:
+                self._discard_pool(pool)
+                try:
+                    self._dispatch_chunk(chunk, retry=False)
+                    return
+                except Exception as redispatch_error:  # resolve, never hang joiners
+                    error = redispatch_error
             payloads: List[Dict] = []
             if error is None:
-                payloads = task.result()
+                payloads = [task.result()] if len(chunk) == 1 else task.result()
                 if len(payloads) != len(chunk):
                     error = RuntimeError(
                         f"pool chunk returned {len(payloads)} payloads "

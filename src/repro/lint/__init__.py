@@ -2,9 +2,9 @@
 
 Six PRs of optimisation left correctness resting on conventions — one
 environment-read site, deterministic cache keys, runtime-only knobs out of
-job keys, numba-safe JIT bodies, registry-only dispatch, a layered import
-DAG, factory-built empty reports.  This package turns each of those into a
-rule (`RL001`..`RL007`, plus the `RL000` suppression-hygiene meta-rule)
+job keys, registry-only dispatch, a layered import DAG, factory-built empty
+reports.  This package turns each of those into a rule (`RL001`..`RL003`,
+`RL005`..`RL007`, plus the `RL000` suppression-hygiene meta-rule)
 over a single shared parse per file, runnable as ``python -m repro.lint``
 or ``smash-repro lint`` and enforced by tier-1 (``tests/test_lint_repo.py``)
 and CI.  DESIGN.md section 14 maps every rule to its contract and the PR

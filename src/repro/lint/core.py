@@ -2,8 +2,8 @@
 
 The contracts this package enforces (see DESIGN.md section 14) are *repo*
 invariants, not general Python style: the single environment-read site, the
-determinism of cache keys, the numba compilation boundary, registry-only
-dispatch, the package layering DAG.  The framework is deliberately tiny and
+determinism of cache keys, registry-only dispatch, the package layering
+DAG.  The framework is deliberately tiny and
 stdlib-only so it can run anywhere the repo runs:
 
 * :class:`SourceFile` parses a file **once** and exposes a cached,

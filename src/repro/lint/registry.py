@@ -17,16 +17,15 @@ from repro.lint import (
     rules_determinism,
     rules_env,
     rules_layering,
-    rules_numba,
     rules_registry,
 )
 
-#: Every contract rule (RL001..RL007), before the RL000 meta-rule.
+#: Every contract rule (RL001..RL003, RL005..RL007), before the RL000
+#: meta-rule. RL004 is retired and its id is not reused.
 _CONTRACT_RULES: List[Rule] = [
     *rules_env.RULES,
     *rules_determinism.RULES,
     *rules_cachekey.RULES,
-    *rules_numba.RULES,
     *rules_registry.RULES,
     *rules_layering.RULES,
 ]

@@ -171,10 +171,8 @@ class ServiceState:
         return {
             "processes": runtime.processes,
             "trace_chunk": runtime.trace_chunk,
-            "replay_backend": runtime.replay_backend,
             "replay_batch": runtime.replay_batch,
             "pool_chunk": runtime.pool_chunk,
-            "pool_warmup": runtime.pool_warmup,
         }
 
     def query(self, params: Mapping[str, str]) -> List[Dict[str, object]]:

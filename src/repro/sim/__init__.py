@@ -28,11 +28,6 @@ from repro.sim.config import (
     RealSystemConfig,
     SimConfig,
 )
-from repro.sim._replay_core import (
-    DEFAULT_REPLAY_BACKEND,
-    REPLAY_BACKEND_ENV_VAR,
-    REPLAY_BACKENDS,
-)
 from repro.sim.cache import Cache, CacheStats
 from repro.sim.prefetcher import StridePrefetcher
 from repro.sim.memory import AccessType, MemoryHierarchy, MemoryRequest
@@ -61,9 +56,6 @@ __all__ = [
     "SimConfig",
     "Cache",
     "CacheStats",
-    "DEFAULT_REPLAY_BACKEND",
-    "REPLAY_BACKEND_ENV_VAR",
-    "REPLAY_BACKENDS",
     "StridePrefetcher",
     "AccessType",
     "MemoryHierarchy",

@@ -1,15 +1,15 @@
-"""Pluggable replay backends for :meth:`repro.sim.memory.MemoryHierarchy.replay`.
+"""The replay engine behind :meth:`repro.sim.memory.MemoryHierarchy.replay`.
 
-The memory hierarchy's batched replay has three interchangeable engines, all
-operating on the *head* arrays the dispatcher in :mod:`repro.sim.memory`
-prepares (coalesced accesses: one entry per run of consecutive same
-structure/line/kind accesses):
+Replay operates on the *head* arrays the dispatcher in
+:mod:`repro.sim.memory` prepares (coalesced accesses: one entry per run of
+consecutive same structure/line/kind accesses).  Two functions live here:
 
-* ``"reference"`` — the original per-head Python loop: for every head it
-  consults the stride prefetcher, walks L1/L2/L3 with explicit LRU lists and
-  accumulates stall cycles.  Simple, obviously sequential, and the ground
-  truth the vectorized engine is tested against.
-* ``"vectorized"`` — a phased, array-native engine (DESIGN.md section 12):
+* :func:`replay_reference` — the original per-head Python loop: for every
+  head it consults the stride prefetcher, walks L1/L2/L3 with explicit LRU
+  lists and accumulates stall cycles.  Simple, obviously sequential, and the
+  ground truth the array engine is tested against.
+* :func:`replay_vectorized` — the engine ``replay`` calls: a phased,
+  array-native replay (DESIGN.md section 12):
 
   1. *Prefetcher pass.*  Per-structure subsequences of streaming heads are
      extracted with ``np.flatnonzero``; stride confirmations are run-length
@@ -37,59 +37,35 @@ structure/line/kind accesses):
      state (both reconstructed exactly at the end of each segment, keeping
      the chunk-boundary contract of :mod:`repro.sim.trace` intact).
 
-* ``"compiled"`` — numba-JIT transcriptions of the reference loop's three
-  phases (see :mod:`repro.sim._replay_compiled`); registered only for
-  selection here, falling back to ``"vectorized"`` with a one-time warning
-  when numba is not importable (:func:`effective_backend`).
-
-The array engines *delegate to the reference loop* whenever exactness
+The array engine *delegates to the reference loop* whenever exactness
 would be at risk or the array form cannot pay for itself: tiny segments
-(below :data:`MIN_VECTORIZED_HEADS` / ``MIN_COMPILED_HEADS``, e.g. the
-per-element ``access`` shim) and segments that would overflow the
-prefetcher's stream table (the loop's arbitrary-eviction order is not worth
-replicating in array form).  Results are identical either way; only the
-wall clock changes.
-
-Backends are registered in :data:`REPLAY_BACKENDS` (a
-:class:`repro.api.registry.Registry`) and selected through
-:class:`repro.api.config.RuntimeConfig` / the ``SMASH_REPRO_REPLAY_BACKEND``
-environment variable, defaulting to ``"vectorized"``.  Like every runtime
-knob, the backend cannot change a result and therefore does not participate
-in the sweep-cache job key.
+(below :data:`MIN_VECTORIZED_HEADS`, e.g. the per-element ``access`` shim)
+and segments that would overflow the prefetcher's stream table (the loop's
+arbitrary-eviction order is not worth replicating in array form).  Results
+are identical either way; only the wall clock changes.  Raising
+:data:`MIN_VECTORIZED_HEADS` above every segment length therefore turns
+``replay`` into the reference loop, which is how the equivalence suites
+reach their oracle.
 """
 
 from __future__ import annotations
 
 import contextlib
 import time
-import warnings
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.api.registry import Registry
 from repro.sim.prefetcher import _StreamState
 from repro.sim.trace import grouped_arange
-
-#: Default backend name (the array-native engine).
-DEFAULT_REPLAY_BACKEND = "vectorized"
-
-#: Environment variable selecting the replay backend.  Parsed by
-#: :meth:`repro.api.config.RuntimeConfig.from_env`, the library's single
-#: environment-reading site.
-REPLAY_BACKEND_ENV_VAR = "SMASH_REPRO_REPLAY_BACKEND"
 
 #: Below this many heads the vectorized engine hands the segment to the
 #: reference loop: fixed numpy overhead would dominate (the per-element
 #: ``access`` shim replays one-head segments in a tight loop).  The cutoff is
-#: a pure performance knob — both engines are bit-identical — and tests pin
-#: it to 0 to force the array path onto tiny traces.
+#: a pure performance constant — both paths are bit-identical — so tests pin
+#: it to 0 to force the array path onto tiny traces, or above every trace
+#: length to replay through the reference loop alone.
 MIN_VECTORIZED_HEADS = 512
-
-#: Registry of replay backends; each entry is a callable
-#: ``backend(hierarchy, structures, head_ids, head_lines, head_kinds)``
-#: returning the stall cycles the segment added.
-REPLAY_BACKENDS = Registry("replay backend")
 
 #: Cell budget of one reuse-window counting grid (queries x window); larger
 #: batches are sliced so escalated windows cannot balloon memory.
@@ -116,88 +92,6 @@ def _arange32(n: int) -> np.ndarray:
         _arange32_cache = np.arange(max(n, 2 * _arange32_cache.size), dtype=np.int32)
     return _arange32_cache[:n]
 
-_NO_OVERRIDE = object()
-_backend_override: object = _NO_OVERRIDE
-
-
-def set_backend_override(name: Optional[str]) -> None:
-    """Pin the replay backend for this process (worker-pool initializer hook).
-
-    ``None`` restores the environment-derived default.  The override only
-    changes which engine replays traces, never any report.
-    """
-    global _backend_override
-    if name is None:
-        _backend_override = _NO_OVERRIDE
-    else:
-        _backend_override = REPLAY_BACKENDS.resolve(name)
-
-
-@contextlib.contextmanager
-def backend_override(name: Optional[str]) -> Iterator[None]:
-    """Temporarily pin the replay backend (serial in-process execution)."""
-    global _backend_override
-    previous = _backend_override
-    _backend_override = REPLAY_BACKENDS.resolve(name) if name is not None else _NO_OVERRIDE
-    try:
-        yield
-    finally:
-        _backend_override = previous
-
-
-def replay_backend_name() -> str:
-    """The active backend name: explicit override, else the environment knob."""
-    if _backend_override is not _NO_OVERRIDE:
-        return _backend_override  # type: ignore[return-value]
-    from repro.api.config import RuntimeConfig
-
-    # Explicit arguments suppress the other knobs' environment reads, so a
-    # malformed SMASH_REPRO_PROCESSES cannot break a kernel run that only
-    # needs the backend name.
-    return RuntimeConfig.from_env(processes=1, cache_dir=None, trace_chunk=None).replay_backend
-
-
-def resolve_backend(name: Optional[str] = None):
-    """The backend callable for ``name`` (default: the active backend)."""
-    return REPLAY_BACKENDS.get(name if name is not None else replay_backend_name())
-
-
-#: Backend the ``"compiled"`` tier degrades to when numba is unavailable.
-_COMPILED_FALLBACK = "vectorized"
-
-_fallback_warned = False
-
-
-def effective_backend(name: Optional[str] = None) -> str:
-    """The canonical backend name that will actually run for ``name``.
-
-    Resolves aliases through the registry (unknown names raise the
-    registry's did-you-mean error), then degrades ``"compiled"`` to the
-    vectorized engine when its JIT dependency (numba) is unavailable — with
-    a one-time warning rather than an error, so selecting the compiled tier
-    in an environment without numba still produces bit-identical results,
-    just without the speedup.
-    """
-    canonical = REPLAY_BACKENDS.resolve(
-        name if name is not None else replay_backend_name()
-    )
-    if canonical == "compiled":
-        from repro.sim import _replay_compiled
-
-        if not _replay_compiled.kernels_available():
-            global _fallback_warned
-            if not _fallback_warned:
-                _fallback_warned = True
-                warnings.warn(
-                    "replay backend 'compiled' requires numba, which is not "
-                    f"installed; falling back to {_COMPILED_FALLBACK!r} "
-                    "(results are bit-identical, only slower)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            return _COMPILED_FALLBACK
-    return canonical
-
 
 # --------------------------------------------------------------------------- #
 # Per-phase wall-clock profiling (RuntimeConfig.replay_profile)
@@ -219,7 +113,7 @@ def profile_collection() -> Iterator[Dict[str, float]]:
     """Collect per-phase replay wall-clock into the yielded dict.
 
     Phases are ``"prefetch"`` / ``"lru"`` / ``"stalls"`` for the array
-    engines and ``"walk"`` for the reference loop (which fuses all three);
+    engine and ``"walk"`` for the reference loop (which fuses all three);
     values accumulate across every replay call inside the context.  Purely
     observational — results are unaffected.
     """
@@ -236,7 +130,7 @@ def stall_cycles_for(kind: int, latency: float, mlp: float, exposure: float) -> 
     """Stall cycles one access contributes, given its kind and hit latency.
 
     The single latency→stall rule shared by every replay path (the reference
-    backend, the vectorized backend's bulk computation, and the
+    loop, the vectorized engine's bulk computation, and the
     mixed-line-size sequential walk): stores (kind 2) retire through the
     store buffer and never stall; dependent loads (kind 1) expose
     ``latency * exposure`` cycles; streaming loads overlap across the
@@ -250,9 +144,8 @@ def stall_cycles_for(kind: int, latency: float, mlp: float, exposure: float) -> 
 
 
 # --------------------------------------------------------------------------- #
-# Reference backend: the per-head Python loop
+# Reference loop: the per-head Python walk (and the tests' oracle)
 # --------------------------------------------------------------------------- #
-@REPLAY_BACKENDS.register("reference", aliases=("loop",))
 def replay_reference(
     h,
     structures: Sequence[str],
@@ -407,7 +300,7 @@ def replay_reference(
 
 
 # --------------------------------------------------------------------------- #
-# Vectorized backend
+# Vectorized engine
 # --------------------------------------------------------------------------- #
 class _Delegate(Exception):
     """Internal: hand this segment to the reference loop (exactness guard)."""
@@ -936,7 +829,7 @@ def _classify_with_loop(
     resident lines: a present install leaves the LRU order untouched, so
     later reuse windows depend on earlier install outcomes and the one-shot
     array classification above does not apply.  This loop performs exactly
-    the reference backend's per-level list operations — but only for this
+    the reference loop's per-level list operations — but only for this
     level's (already filtered) events, on scratch copies of the touched
     sets, so the surrounding phases stay pure and the other levels stay
     vectorized.
@@ -1237,7 +1130,6 @@ def _commit_stacks(cache, result: _LevelResult) -> None:
         cache_sets[s] = ways
 
 
-@REPLAY_BACKENDS.register("vectorized", aliases=("array",))
 def replay_vectorized(
     h,
     structures: Sequence[str],
@@ -1362,7 +1254,3 @@ def replay_vectorized(
         _record_phase("stalls", time.perf_counter() - t0)
     return added
 
-
-# The compiled tier registers itself on import; importing it last keeps its
-# dependencies (the registry and the reference loop above) fully defined.
-from repro.sim import _replay_compiled as _replay_compiled  # noqa: E402,F401

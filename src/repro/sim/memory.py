@@ -13,12 +13,12 @@ Two entry points share one engine:
 * :meth:`MemoryHierarchy.replay` — the batched path: whole trace segments
   (columnar numpy arrays, see :mod:`repro.sim.trace`) are replayed with
   block addresses and streaming-run coalescing computed array-at-a-time,
-  then handed to a pluggable *replay backend* (:mod:`repro.sim._replay_core`):
-  the default ``"vectorized"`` engine classifies LRU hits per level through
-  reuse (stack) distances entirely in numpy, while the ``"reference"``
-  engine walks the heads in a Python loop. Both are bit-identical; the
-  backend is selected through :class:`repro.api.config.RuntimeConfig` /
-  ``SMASH_REPRO_REPLAY_BACKEND``.
+  then handed to the vectorized replay engine
+  (:func:`repro.sim._replay_core.replay_vectorized`), which classifies LRU
+  hits per level through reuse (stack) distances entirely in numpy. It
+  hands small segments and stream-table overflow to the reference loop
+  (:func:`repro.sim._replay_core.replay_reference`), which walks the heads
+  in Python; the two are bit-identical.
 * :meth:`MemoryHierarchy.access` — the legacy per-element API, kept as a
   thin shim that replays a one-access trace. Results are bit-identical to
   the batched path by construction.
@@ -46,8 +46,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.sim import _replay_core
-from repro.sim._replay_core import REPLAY_BACKENDS, stall_cycles_for
+from repro.sim._replay_core import replay_vectorized, stall_cycles_for
 from repro.sim.cache import Cache, CacheStats
 from repro.sim.config import SimConfig
 from repro.sim.prefetcher import StridePrefetcher
@@ -110,30 +109,15 @@ class MemoryStats:
 
 
 class MemoryHierarchy:
-    """Three-level inclusive cache hierarchy backed by DRAM.
+    """Three-level inclusive cache hierarchy backed by DRAM."""
 
-    ``replay_backend`` selects the engine behind :meth:`replay` (an entry of
-    :data:`repro.sim._replay_core.REPLAY_BACKENDS`); ``None`` resolves the
-    process override / ``SMASH_REPRO_REPLAY_BACKEND`` environment knob at
-    construction time. The backend cannot change any result — the
-    equivalence suite asserts bit-identical statistics — only how fast the
-    trace replays.
-    """
-
-    def __init__(
-        self,
-        config: Optional[SimConfig] = None,
-        replay_backend: Optional[str] = None,
-    ) -> None:
+    def __init__(self, config: Optional[SimConfig] = None) -> None:
         self.config = config or SimConfig.default()
         self.l1 = Cache(self.config.l1)
         self.l2 = Cache(self.config.l2)
         self.l3 = Cache(self.config.l3)
         self.prefetcher = StridePrefetcher(line_bytes=self.config.l1.line_bytes)
         self.stats = MemoryStats()
-        name = _replay_core.effective_backend(replay_backend)
-        self.replay_backend = name
-        self._replay_impl = REPLAY_BACKENDS.get(name)
 
     # ------------------------------------------------------------------ #
     # Access handling
@@ -165,12 +149,12 @@ class MemoryHierarchy:
         codes from :mod:`repro.sim.trace`. Block addresses are computed
         array-at-a-time, and runs of consecutive accesses to the same
         (structure, line, kind) are coalesced: the run head walks the
-        hierarchy through the configured replay backend
+        hierarchy through the vectorized replay engine
         (:mod:`repro.sim._replay_core`), the repeats are credited as
         guaranteed L1 hits in bulk (the head just made the line MRU, and a
         stride-0 repeat leaves the prefetcher untouched). The per-access
         statistics are bit-identical to replaying each access through
-        :meth:`access`, identical across backends, and — because all replay
+        :meth:`access`, identical to the reference loop, and — because all replay
         state persists on ``self`` between calls — identical when the same
         accesses are split across any number of consecutive :meth:`replay`
         calls (the chunk-boundary contract above).
@@ -220,7 +204,7 @@ class MemoryHierarchy:
             self.l1.stats.accesses += repeats
             self.l1.stats.hits += repeats
             head_positions = np.flatnonzero(np.concatenate(([True], ~same)))
-            return self._replay_impl(
+            return replay_vectorized(
                 self,
                 structures,
                 struct_ids[head_positions],
@@ -228,7 +212,7 @@ class MemoryHierarchy:
                 kinds[head_positions],
             )
         # Nothing coalesced: every access is its own head.
-        return self._replay_impl(self, structures, struct_ids, lines, kinds)
+        return replay_vectorized(self, structures, struct_ids, lines, kinds)
 
     def _replay_sequential(
         self,
@@ -241,7 +225,7 @@ class MemoryHierarchy:
 
         Stall accounting goes through the same
         :func:`repro.sim._replay_core.stall_cycles_for` rule as the batched
-        backends, so the two paths cannot drift apart. Prefetcher training
+        engine, so the two paths cannot drift apart. Prefetcher training
         also agrees with the batched path by construction: only streaming
         loads (kind 0) consult or train a stream — dependent loads and
         stores bypass the prefetcher in both engines, because a store's
@@ -334,15 +318,15 @@ _Segment = Tuple[Tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]
 
 
 class ReplayBatcher:
-    """Defers replay calls so many small traces flush in few backend calls.
+    """Defers replay calls so many small traces flush in few engine calls.
 
     Inside a :func:`replay_batching` context every
     :meth:`MemoryHierarchy.replay` enqueues its segment (returning 0.0 stall
     cycles — callers that batch must rebuild stall-derived results from the
     hierarchy statistics after :meth:`flush`).  Flushing concatenates each
     hierarchy's segments into one merged trace and replays it in a single
-    backend invocation, which amortizes per-call dispatch, marshalling, and
-    JIT/numpy overhead across jobs while keeping per-hierarchy state fully
+    engine invocation, which amortizes per-call dispatch, marshalling, and
+    numpy overhead across jobs while keeping per-hierarchy state fully
     independent.  Merging is exact by the chunk-boundary contract: replaying
     one hierarchy's segments back-to-back in one call is bit-identical to
     replaying them separately, for any cut points.
@@ -427,58 +411,13 @@ def _merge_segments(segments: List[_Segment]) -> _Segment:
     )
 
 
-# --------------------------------------------------------------------------- #
-# Replay-backend warm-up (pool workers pre-pay one-time setup costs)
-# --------------------------------------------------------------------------- #
-#: Backend names already primed in this process (idempotence guard).
-_PRIMED_BACKENDS: set = set()
-
-
-def primed_backends() -> frozenset:
-    """Backend names :func:`prime_replay_backend` has warmed in this process."""
-    return frozenset(_PRIMED_BACKENDS)
-
-
-def prime_replay_backend(backend: Optional[str] = None) -> str:
-    """Pay the replay backend's one-time setup cost now; return its name.
-
-    Replays a small synthetic trace through a throwaway hierarchy so any
-    lazy per-process initialization the effective backend performs — numba
-    JIT compilation for ``"compiled"``, first-call numpy machinery for the
-    array engines — happens at a controlled moment (pool-worker start, see
-    ``repro.eval.runner._init_worker_overrides``) rather than inside the
-    first real job. The trace exceeds the engines' delegate-to-reference
-    head thresholds and mixes all three access kinds, so every phase of the
-    chosen engine actually runs. Idempotent per backend per process, and the
-    hierarchy is discarded, so priming can never affect a result.
-    """
-    global _ACTIVE_BATCHER
-    name = _replay_core.effective_backend(backend)
-    if name in _PRIMED_BACKENDS:
-        return name
-    hierarchy = MemoryHierarchy(SimConfig.default(), replay_backend=name)
-    line_bytes = hierarchy.config.l1.line_bytes
-    n = 2048  # > MIN_VECTORIZED_HEADS / MIN_COMPILED_HEADS, still sub-second
-    addresses = np.arange(n, dtype=np.int64) * line_bytes  # one line per access
-    kinds = np.zeros(n, dtype=np.uint8)  # KIND_STREAM
-    kinds[1::3] = KIND_DEPENDENT
-    kinds[2::3] = KIND_WRITE
-    previous, _ACTIVE_BATCHER = _ACTIVE_BATCHER, None  # replay for real
-    try:
-        hierarchy.replay(("warmup",), np.zeros(n, dtype=np.int64), addresses, kinds)
-    finally:
-        _ACTIVE_BATCHER = previous
-    _PRIMED_BACKENDS.add(name)
-    return name
-
-
 @contextlib.contextmanager
 def replay_batching(batcher: ReplayBatcher) -> Iterator[ReplayBatcher]:
     """Route every hierarchy's replay through ``batcher`` inside the context.
 
     The caller owns the flush: segments deferred inside the context replay
     only when ``batcher.flush()`` runs (typically after several jobs'
-    contexts, to merge their traces into few backend invocations).
+    contexts, to merge their traces into few engine invocations).
     """
     global _ACTIVE_BATCHER
     previous = _ACTIVE_BATCHER

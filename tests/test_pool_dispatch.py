@@ -1,4 +1,4 @@
-"""Tests for the chunked worker-pool path: dispatch, batching, warm-up.
+"""Tests for the chunked worker-pool path: dispatch, batching, recovery.
 
 The pool-dispatch contract (DESIGN.md section 17):
 
@@ -10,11 +10,19 @@ The pool-dispatch contract (DESIGN.md section 17):
   (cache-hit) runs execute nothing;
 * a failing job fails its whole chunk — every joiner sees the error,
   nothing from the chunk is cached, and a retry re-executes;
-* ``_init_worker_overrides`` pins the trace-chunk/backend overrides inside
-  each worker and (with ``warmup``) pre-primes the replay backend.
+* the pool initializer pins the runner's trace-chunk override inside each
+  worker, and a default runner installs none;
+* a worker killed mid-sweep costs one pool rebuild, not the runner: the
+  lost jobs are re-dispatched once, reports stay byte-identical and
+  ``executed`` stays exact.
 """
 
 import json
+import multiprocessing
+import os
+import signal
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -42,18 +50,21 @@ def _report_keys(reports):
     return [json.dumps(report.to_dict(), sort_keys=True) for report in reports]
 
 
+def _run_bounded(runner, jobs, timeout=300):
+    """``runner.run(jobs)`` from a helper thread, failing instead of hanging."""
+    helper = ThreadPoolExecutor(max_workers=1)
+    try:
+        return helper.submit(runner.run, jobs).result(timeout=timeout)
+    finally:
+        helper.shutdown(wait=False)
+
+
 def _worker_knobs():
     """Probe executed inside a pool worker: its effective runtime knobs."""
-    from repro.sim import _replay_core
     from repro.sim import trace as _trace
-    from repro.sim.memory import primed_backends
 
     override = _trace._chunk_override
-    return {
-        "chunk_override": None if override is _trace._NO_OVERRIDE else override,
-        "backend": _replay_core.effective_backend(None),
-        "primed": sorted(primed_backends()),
-    }
+    return {"chunk_override": None if override is _trace._NO_OVERRIDE else override}
 
 
 class TestChunkedByteIdentity:
@@ -83,9 +94,9 @@ class TestChunkedByteIdentity:
     def test_pool_chunked_dispatch_at_trace_chunks(self, trace_chunk):
         """Batching exactness across process boundaries at tiny/large chunks.
 
-        The replay-backend equivalence contract under pool-chunked
+        The replay equivalence contract under pool-chunked
         dispatch: workers pin the trace-chunk override, batch the chunk's
-        replays through one merged backend call per hierarchy, and the
+        replays through one merged replay call per hierarchy, and the
         payloads must still be byte-identical to plain serial execution —
         the chunk-boundary contract composed with segment merging.
         """
@@ -131,53 +142,103 @@ class TestEffectivePoolChunk:
 
 
 class TestWorkerInitializer:
-    def test_worker_sees_pinned_overrides_and_primed_backend(self):
-        """Satellite: a 1-worker pool probe reports its effective knobs."""
-        with SweepRunner(
-            processes=1,
-            cache_dir=None,
-            trace_chunk=1234,
-            replay_backend="reference",
-            pool_warmup=True,
-        ) as runner:
+    def test_worker_sees_pinned_chunk_override(self):
+        """A 1-worker pool probe reports the runner's pinned chunk budget."""
+        with SweepRunner(processes=1, cache_dir=None, trace_chunk=1234) as runner:
             pool = runner._ensure_pool()
             knobs = pool.submit(_worker_knobs).result(timeout=300)
         assert knobs["chunk_override"] == 1234
-        assert knobs["backend"] == "reference"
-        assert "reference" in knobs["primed"]
 
-    def test_no_warmup_worker_has_no_primed_backend(self):
-        with SweepRunner(
-            processes=1, cache_dir=None, replay_backend="reference", pool_warmup=False
-        ) as runner:
-            pool = runner._ensure_pool()
-            knobs = pool.submit(_worker_knobs).result(timeout=300)
-        assert knobs["backend"] == "reference"
-        assert knobs["primed"] == []
-
-    def test_default_worker_primes_default_backend(self):
+    def test_default_worker_has_no_override(self):
         with SweepRunner(processes=1, cache_dir=None) as runner:
             pool = runner._ensure_pool()
             knobs = pool.submit(_worker_knobs).result(timeout=300)
         assert knobs["chunk_override"] is None  # no override pinned
-        assert knobs["backend"] in knobs["primed"]
 
 
-class TestPrimeReplayBackend:
-    def test_prime_is_idempotent_and_result_neutral(self):
-        from repro.sim.memory import prime_replay_backend, primed_backends
+@pytest.fixture
+def kill_first_worker_job(monkeypatch, tmp_path):
+    """Make the first job any pool worker starts SIGKILL that worker.
 
-        name = prime_replay_backend("reference")
-        assert name == "reference"
-        assert "reference" in primed_backends()
-        assert prime_replay_backend("reference") == "reference"
-        # Priming is invisible to results: a primed backend still replays
-        # bit-identically (the throwaway hierarchy is discarded).
-        jobs = [_job("M5")]
-        with SweepRunner(processes=1, cache_dir=None, replay_backend="reference") as r:
-            primed = _report_keys(r.run(jobs))
-        with SweepRunner(processes=1, cache_dir=None, replay_backend="vectorized") as r:
-            assert _report_keys(r.run(jobs)) == primed
+    The patched ``execute_job`` reaches the workers because they fork from
+    this process after the patch; a marker file makes the kill happen once
+    across all of them, so the re-dispatched jobs run normally.
+    """
+    if multiprocessing.get_start_method() != "fork" or sys.platform == "win32":
+        pytest.skip("needs fork-started pool workers")
+    from repro.eval import runner as runner_module
+
+    marker = tmp_path / "killed"
+    parent = os.getpid()
+    execute = runner_module.execute_job
+
+    def execute_or_die(job):
+        if os.getpid() != parent:
+            try:
+                fd = os.open(marker, os.O_CREAT | os.O_EXCL)
+            except FileExistsError:
+                pass
+            else:
+                os.close(fd)
+                os.kill(os.getpid(), signal.SIGKILL)
+        return execute(job)
+
+    monkeypatch.setattr(runner_module, "execute_job", execute_or_die)
+    return marker
+
+
+class TestWorkerDeath:
+    """A SIGKILLed worker breaks the pool; the runner rebuilds it once."""
+
+    @pytest.mark.parametrize("pool_chunk", [0, 1])
+    def test_sweep_survives_a_killed_worker(self, kill_first_worker_job, tmp_path, pool_chunk):
+        jobs = _jobs()
+        with SweepRunner(processes=1, cache_dir=None) as serial:
+            expected = _report_keys(serial.run(jobs))
+        cache = tmp_path / "cache"
+        with SweepRunner(processes=2, cache_dir=cache, pool_chunk=pool_chunk) as pooled:
+            assert _report_keys(_run_bounded(pooled, jobs)) == expected
+            assert kill_first_worker_job.exists()  # a worker really died
+            assert pooled.stats.executed == len(jobs)
+            assert not pooled._inflight
+            # The rebuilt pool keeps serving: a following run executes the
+            # new job and loads the rest from the cache.
+            extra = _job("M5", "smash_sw")
+            reports = _report_keys(_run_bounded(pooled, jobs + [extra]))
+            assert reports[: len(jobs)] == expected
+            assert pooled.stats.executed == len(jobs) + 1
+
+    def test_pool_broken_between_runs_is_replaced(self):
+        jobs = _jobs()[:4]
+        with SweepRunner(processes=2, cache_dir=None) as pooled:
+            expected = _report_keys(_run_bounded(pooled, jobs))
+            broken = pooled._pool
+            for pid in list(broken._processes):
+                os.kill(pid, signal.SIGKILL)
+            assert _report_keys(_run_bounded(pooled, jobs)) == expected
+            assert pooled._pool is not broken
+            assert pooled.stats.executed == 2 * len(jobs)
+
+    def test_second_break_fails_the_jobs(self, monkeypatch, tmp_path):
+        """Re-dispatch happens once: a pool that breaks again fails the sweep."""
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("needs fork-started pool workers")
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.eval import runner as runner_module
+
+        def always_die(job):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(runner_module, "execute_job", always_die)
+        with SweepRunner(processes=2, cache_dir=tmp_path) as pooled:
+            with pytest.raises(BrokenProcessPool):
+                _run_bounded(pooled, _jobs()[:2])
+            assert not pooled._inflight
+            monkeypatch.undo()
+            # The failure cached nothing, and the runner recovers.
+            assert len(_run_bounded(pooled, _jobs()[:2])) == 2
+            assert pooled.stats.executed == 4
 
 
 class TestKnobSurface:
@@ -186,23 +247,16 @@ class TestKnobSurface:
             RuntimeConfig(pool_chunk=-1)
         with pytest.raises(ValueError, match="pool chunk"):
             RuntimeConfig(pool_chunk=True)
-        with pytest.raises(ValueError, match="pool warm-up"):
-            RuntimeConfig(pool_warmup=1)
         assert RuntimeConfig(pool_chunk=0).pool_chunk == 0
-        assert RuntimeConfig(pool_chunk=8, pool_warmup=False).pool_warmup is False
+        assert RuntimeConfig(pool_chunk=8).pool_chunk == 8
 
     def test_env_knobs(self, monkeypatch):
         monkeypatch.setenv("SMASH_REPRO_POOL_CHUNK", "6")
-        monkeypatch.setenv("SMASH_REPRO_POOL_WARMUP", "0")
         runtime = RuntimeConfig.from_env(processes=2, cache_dir=None)
         assert runtime.pool_chunk == 6
-        assert runtime.pool_warmup is False
         # Explicit values win over the environment.
-        runtime = RuntimeConfig.from_env(
-            processes=2, cache_dir=None, pool_chunk=3, pool_warmup=True
-        )
+        runtime = RuntimeConfig.from_env(processes=2, cache_dir=None, pool_chunk=3)
         assert runtime.pool_chunk == 3
-        assert runtime.pool_warmup is True
         monkeypatch.setenv("SMASH_REPRO_POOL_CHUNK", "nope")
         with pytest.raises(ValueError, match="SMASH_REPRO_POOL_CHUNK"):
             RuntimeConfig.from_env(processes=2, cache_dir=None)
@@ -210,31 +264,50 @@ class TestKnobSurface:
     def test_describe_mentions_pool_knobs_only_when_pooled(self):
         serial = RuntimeConfig(processes=1)
         assert "pool_chunk" not in serial.describe()
-        pooled = RuntimeConfig(processes=2, pool_chunk=5, pool_warmup=False)
+        pooled = RuntimeConfig(processes=2, pool_chunk=5)
         assert "pool_chunk=5" in pooled.describe()
-        assert "pool_warmup=off" in pooled.describe()
         auto = RuntimeConfig(processes=2)
         assert "pool_chunk=auto" in auto.describe()
-        assert "pool_warmup" not in auto.describe()
 
     def test_cli_flags_reach_the_session(self):
         parser = build_parser()
-        args = parser.parse_args(
-            ["run", "figure10", "--no-cache", "--pool-chunk", "5", "--no-pool-warmup"]
-        )
+        args = parser.parse_args(["run", "figure10", "--no-cache", "--pool-chunk", "5"])
         session = _build_session(args)
         try:
             assert session.runtime.pool_chunk == 5
-            assert session.runtime.pool_warmup is False
             assert session._runner.pool_chunk == 5
-            assert session._runner.pool_warmup is False
         finally:
             session.close()
 
     def test_session_wrapping_runner_reflects_pool_knobs(self):
         from repro.api.session import Session
 
-        with SweepRunner(processes=2, cache_dir=None, pool_chunk=7, pool_warmup=False) as runner:
+        with SweepRunner(processes=2, cache_dir=None, pool_chunk=7) as runner:
             session = Session(runner=runner)
             assert session.runtime.pool_chunk == 7
-            assert session.runtime.pool_warmup is False
+
+    def test_runtime_config_fields_are_pinned(self):
+        """A knob cannot come back (or go) unnoticed."""
+        import dataclasses
+
+        assert tuple(field.name for field in dataclasses.fields(RuntimeConfig)) == (
+            "processes",
+            "cache_dir",
+            "trace_chunk",
+            "replay_batch",
+            "replay_profile",
+            "pool_chunk",
+            "service_host",
+            "service_port",
+            "store_ingest",
+            "store_index",
+        )
+
+    @pytest.mark.parametrize(
+        "flag", [["--replay-backend", "reference"], ["--no-pool-warmup"]]
+    )
+    def test_removed_cli_flags_are_argparse_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["run", "figure10", *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -1,47 +1,76 @@
-"""Replay-backend equivalence: vectorized/compiled vs reference, bit for bit.
+"""Replay equivalence: the vectorized engine vs the reference loop, bit for bit.
 
-The array replay engines (``repro.sim._replay_core`` /
-``repro.sim._replay_compiled``) must be indistinguishable from the
-reference loop on *every* observable: the added stall cycles returned by
-each ``replay`` call, every statistics counter (including the exact
-floating-point stall totals), the final cache contents *in LRU order*, and
-the prefetcher stream states — across random traces, random chunk cuts,
-and every configured cache geometry.  The suite fuzzes ~50 random traces
-over several trace shapes (random addresses, strided streams, mixtures
-with repeats, tight alternation with deep reuse windows, periodic rescans
-that drive covered installs onto resident lines) plus directed edge cases,
-with the array paths forced even for tiny traces.  The compiled engine's
-kernels run regardless of whether numba is installed (they degrade to
-their pure-Python bodies), so the same control flow is asserted on every
-machine; the numba CI leg re-runs the suite with real JIT compilation.
+``MemoryHierarchy.replay`` always runs the vectorized engine
+(``repro.sim._replay_core.replay_vectorized``).  It must be
+indistinguishable from the reference loop (``replay_reference``) on
+*every* observable: the added stall cycles returned by each ``replay``
+call, every statistics counter (including the exact floating-point stall
+totals), the final cache contents *in LRU order*, and the prefetcher stream
+states — across random traces, random chunk cuts, and every configured
+cache geometry.  The suite fuzzes ~50 random traces over several trace
+shapes (random addresses, strided streams, mixtures with repeats, tight
+alternation with deep reuse windows, periodic rescans that drive covered
+installs onto resident lines) plus directed edge cases.
+
+The oracle needs no knob: raising ``MIN_VECTORIZED_HEADS`` above every
+trace length makes the vectorized engine hand each whole segment to the
+reference loop, while the subject side pins the cutoff to 0 so even tiny
+traces take the array path.  A counter around ``replay_reference`` proves
+both sides did what they claim (:class:`TestOracleIsNotVacuous`).
 """
 
-import warnings
+import sys
 
 import numpy as np
 import pytest
 
-import repro.sim._replay_compiled as replay_compiled
 import repro.sim._replay_core as replay_core
 from repro.api.config import RuntimeConfig
-from repro.sim._replay_core import REPLAY_BACKENDS, backend_override, replay_backend_name
 from repro.sim.config import CacheConfig, SimConfig
 from repro.sim.memory import AccessType, MemoryHierarchy, MemoryRequest
 
-#: Every engine that must match the reference loop bit for bit.
-ARRAY_BACKENDS = ("vectorized", "compiled")
+#: Share of fuzz traces whose subject replay must finish the array path
+#: without handing any segment to the reference loop.  Measured: 45 of the
+#: 50 traces; the other five flood the stream table (every tenth trial) and
+#: delegate by design.  The traces are seeded, so the count is exact.
+MIN_ARRAY_PATH_SHARE = 0.9
 
 
-@pytest.fixture(autouse=True)
-def force_array_paths(monkeypatch):
-    """Tiny fuzz traces must exercise the array engines, not the size cutoffs.
+class ReferenceCounter:
+    """Counts segments replayed by the reference loop and by the array path.
 
-    ``FORCE_PYTHON_KERNELS`` makes the compiled backend selectable (and its
-    kernels runnable, as pure Python) even without numba.
+    ``calls`` counts ``replay_reference`` invocations; ``array_entries``
+    counts entries into the array path's first phase (``_prefetch_pass``),
+    whether or not the segment later delegates.
     """
-    monkeypatch.setattr(replay_core, "MIN_VECTORIZED_HEADS", 0)
-    monkeypatch.setattr(replay_compiled, "MIN_COMPILED_HEADS", 0)
-    monkeypatch.setattr(replay_compiled, "FORCE_PYTHON_KERNELS", True)
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        self.array_entries = 0
+        reference, prefetch = replay_core.replay_reference, replay_core._prefetch_pass
+
+        def counted_reference(*args):
+            self.calls += 1
+            return reference(*args)
+
+        def counted_prefetch(*args):
+            self.array_entries += 1
+            return prefetch(*args)
+
+        monkeypatch.setattr(replay_core, "replay_reference", counted_reference)
+        monkeypatch.setattr(replay_core, "_prefetch_pass", counted_prefetch)
+
+
+@pytest.fixture
+def reference_calls(monkeypatch):
+    return ReferenceCounter(monkeypatch)
+
+
+def replay_mode(monkeypatch, oracle):
+    """Route ``replay`` to the reference loop (oracle) or the array path."""
+    monkeypatch.setattr(
+        replay_core, "MIN_VECTORIZED_HEADS", sys.maxsize if oracle else 0
+    )
 
 
 def tiny_sim(l1=(1024, 2, 2), l2=(4096, 4, 8), l3=(8192, 4, 20)):
@@ -87,9 +116,9 @@ def random_trace(rng, n_structures, n):
     return names, struct_ids.astype(np.int64), np.asarray(addresses, dtype=np.int64), kinds
 
 
-def replay_in_chunks(backend, sim, names, struct_ids, addresses, kinds, cuts):
+def replay_in_chunks(sim, names, struct_ids, addresses, kinds, cuts):
     """Replay one trace as consecutive segments through a fresh hierarchy."""
-    hierarchy = MemoryHierarchy(sim, replay_backend=backend)
+    hierarchy = MemoryHierarchy(sim)
     added = []
     previous = 0
     for cut in list(cuts) + [len(addresses)]:
@@ -107,7 +136,7 @@ def replay_in_chunks(backend, sim, names, struct_ids, addresses, kinds, cuts):
 
 
 def observable_state(hierarchy):
-    """Everything the two backends must agree on, exactly."""
+    """Everything the oracle and the array path must agree on, exactly."""
     h = hierarchy
     return (
         h.stats.requests,
@@ -130,75 +159,134 @@ def observable_state(hierarchy):
     )
 
 
-def assert_backends_agree(sim, names, struct_ids, addresses, kinds, cuts, tag=""):
-    ref, added_ref = replay_in_chunks("reference", sim, names, struct_ids, addresses, kinds, cuts)
-    state_ref = observable_state(ref)
-    for backend in ARRAY_BACKENDS:
-        alt, added_alt = replay_in_chunks(backend, sim, names, struct_ids, addresses, kinds, cuts)
-        assert added_ref == added_alt, f"{tag} [{backend}]: per-call stall cycles differ"
-        for field_ref, field_alt in zip(state_ref, observable_state(alt)):
-            assert field_ref == field_alt, f"{tag} [{backend}]: {field_ref} != {field_alt}"
+def replay_both(monkeypatch, counter, sim, names, struct_ids, addresses, kinds, cuts):
+    """Oracle and subject replays of one trace, with reference-loop call counts.
+
+    Returns ``((oracle, added), (subject, added), oracle_calls,
+    subject_calls)``.  The oracle must never enter the array path; the
+    subject must enter it on every segment, and its reference-loop count
+    is 0 when the array path also finished every segment.
+    """
+    before, entries = counter.calls, counter.array_entries
+    replay_mode(monkeypatch, oracle=True)
+    oracle = replay_in_chunks(sim, names, struct_ids, addresses, kinds, cuts)
+    oracle_calls = counter.calls - before
+    assert counter.array_entries == entries, "the oracle entered the array path"
+    replay_mode(monkeypatch, oracle=False)
+    subject = replay_in_chunks(sim, names, struct_ids, addresses, kinds, cuts)
+    subject_entries = counter.array_entries - entries
+    assert subject_entries == len(subject[1]), "the subject skipped the array path"
+    return oracle, subject, oracle_calls, counter.calls - before - oracle_calls
+
+
+def assert_agree(oracle, subject, tag=""):
+    (ref, added_ref), (alt, added_alt) = oracle, subject
+    assert added_ref == added_alt, f"{tag}: per-call stall cycles differ"
+    for field_ref, field_alt in zip(observable_state(ref), observable_state(alt)):
+        assert field_ref == field_alt, f"{tag}: {field_ref} != {field_alt}"
+
+
+@pytest.fixture
+def check_agreement(monkeypatch, reference_calls):
+    """``check(sim, names, ids, addresses, kinds, cuts, tag)`` -> subject calls."""
+
+    def check(sim, names, struct_ids, addresses, kinds, cuts, tag=""):
+        oracle, subject, oracle_calls, subject_calls = replay_both(
+            monkeypatch, reference_calls, sim, names, struct_ids, addresses, kinds, cuts
+        )
+        assert oracle_calls == len(oracle[1]), f"{tag}: oracle left the reference loop"
+        assert_agree(oracle, subject, tag)
+        return subject_calls
+
+    return check
+
+
+def fuzz_case(trial):
+    """The trace, geometry and chunk cuts of fuzz trial ``trial``."""
+    rng = np.random.default_rng(1000 + trial)
+    n = int(rng.integers(50, 4000))
+    # Every tenth trial floods the stream table past max_streams to
+    # exercise the wholesale delegation to the reference loop.
+    n_structures = int(rng.integers(1, 8)) if trial % 10 else 40
+    sim = SIMS[trial % len(SIMS)]
+    names, struct_ids, addresses, kinds = random_trace(rng, n_structures, n)
+    cuts = sorted(rng.integers(1, n, int(rng.integers(0, 5))).tolist())
+    return sim, names, struct_ids, addresses, kinds, cuts
+
+
+FUZZ_TRIALS = 50
 
 
 class TestFuzzEquivalence:
     """~50 random traces x random chunk cuts: everything bit-identical."""
 
-    @pytest.mark.parametrize("trial", range(50))
-    def test_random_trace(self, trial):
-        rng = np.random.default_rng(1000 + trial)
-        n = int(rng.integers(50, 4000))
-        # Every tenth trial floods the stream table past max_streams to
-        # exercise the wholesale delegation to the reference loop.
-        n_structures = int(rng.integers(1, 8)) if trial % 10 else 40
-        sim = SIMS[trial % len(SIMS)]
-        names, struct_ids, addresses, kinds = random_trace(rng, n_structures, n)
-        cuts = sorted(rng.integers(1, n, int(rng.integers(0, 5))).tolist())
-        assert_backends_agree(
-            sim, names, struct_ids, addresses, kinds, cuts, tag=f"trial {trial}"
+    @pytest.mark.parametrize("trial", range(FUZZ_TRIALS))
+    def test_random_trace(self, trial, check_agreement):
+        check_agreement(*fuzz_case(trial), tag=f"trial {trial}")
+
+
+class TestOracleIsNotVacuous:
+    """Both sides of the comparison really ran the engine they claim to."""
+
+    def test_subject_mostly_finishes_the_array_path(self, check_agreement):
+        array_only = sum(
+            check_agreement(*fuzz_case(trial), tag=f"trial {trial}") == 0
+            for trial in range(FUZZ_TRIALS)
         )
+        assert array_only >= MIN_ARRAY_PATH_SHARE * FUZZ_TRIALS, array_only
+
+    def test_default_cutoff_replays_long_segments_on_the_array_path(
+        self, reference_calls
+    ):
+        """No patch at all: a long segment never touches the reference loop."""
+        assert replay_core.MIN_VECTORIZED_HEADS < 4000
+        addresses = np.arange(4000, dtype=np.int64) * 64
+        h = MemoryHierarchy(SimConfig.scaled(16))
+        h.replay(["v"], np.zeros(4000, dtype=np.int64), addresses, np.zeros(4000, np.uint8))
+        assert reference_calls.calls == 0
 
 
 class TestDirectedEquivalence:
     """Hand-picked shapes targeting the vectorized engine's special cases."""
 
-    def test_single_access_per_call(self):
+    def test_single_access_per_call(self, monkeypatch):
         """The per-element access() shim path, one head per replay call."""
-        for backend in ("reference",) + ARRAY_BACKENDS:
-            h = MemoryHierarchy(SimConfig.scaled(16), replay_backend=backend)
+        runs = []
+        for oracle in (True, False):
+            replay_mode(monkeypatch, oracle)
+            h = MemoryHierarchy(SimConfig.scaled(16))
             stalls = [
                 h.access(MemoryRequest("a", i * 64, AccessType.STREAMING))
                 for i in range(64)
             ]
-            if backend == "reference":
-                expected = stalls
-                expected_state = observable_state(h)
-            else:
-                assert stalls == expected
-                assert observable_state(h) == expected_state
+            runs.append((stalls, observable_state(h)))
+        assert runs[0] == runs[1]
 
-    def test_pure_write_trace(self):
+    def test_pure_write_trace(self, check_agreement):
         """Writes walk the caches but never stall or train the prefetcher."""
         rng = np.random.default_rng(7)
         addresses = rng.integers(0, 4096, 500) * 8
         kinds = np.full(500, 2, dtype=np.uint8)
         ids = np.zeros(500, dtype=np.int64)
-        assert_backends_agree(tiny_sim(), ["w"], ids, addresses, kinds, [], "writes")
+        check_agreement(tiny_sim(), ["w"], ids, addresses, kinds, [], "writes")
 
-    def test_confirmed_stride_covers(self):
+    def test_confirmed_stride_covers(self, check_agreement):
         """A long perfect stride exercises covered installs at L2/L3."""
         addresses = np.arange(4000, dtype=np.int64) * 64
         ids = np.zeros(4000, dtype=np.int64)
         kinds = np.zeros(4000, dtype=np.uint8)
-        assert_backends_agree(SimConfig.scaled(16), ["v"], ids, addresses, kinds, [1000], "stride")
+        assert check_agreement(
+            SimConfig.scaled(16), ["v"], ids, addresses, kinds, [1000], "stride"
+        ) == 0
 
-    def test_rescan_installs_on_resident_lines(self):
+    def test_rescan_installs_on_resident_lines(self, check_agreement):
         """Periodic rescans drive the no-op-install resolution machinery."""
         addresses = (np.arange(6000, dtype=np.int64) % 96) * 64
         ids = np.zeros(6000, dtype=np.int64)
         kinds = np.zeros(6000, dtype=np.uint8)
-        assert_backends_agree(tiny_sim(), ["v"], ids, addresses, kinds, [2500], "rescan")
+        check_agreement(tiny_sim(), ["v"], ids, addresses, kinds, [2500], "rescan")
 
-    def test_stream_table_overflow_delegates(self):
+    def test_stream_table_overflow_delegates(self, check_agreement):
         """More streams than the table holds: exact arbitrary-eviction order."""
         rng = np.random.default_rng(3)
         n = 2000
@@ -206,9 +294,12 @@ class TestDirectedEquivalence:
         ids = rng.integers(0, 40, n).astype(np.int64)
         addresses = rng.integers(0, 1 << 16, n) * 8
         kinds = np.zeros(n, dtype=np.uint8)
-        assert_backends_agree(tiny_sim(), names, ids, addresses, kinds, [700], "overflow")
+        # Overflow is the delegation case: the subject hands it over too.
+        assert check_agreement(
+            tiny_sim(), names, ids, addresses, kinds, [700], "overflow"
+        ) > 0
 
-    def test_duplicate_structure_names_share_a_stream(self):
+    def test_duplicate_structure_names_share_a_stream(self, check_agreement):
         """Two structure ids with one name feed a single prefetcher stream.
 
         ``TraceBuilder`` dedups names, but ``replay`` accepts any table;
@@ -221,177 +312,69 @@ class TestDirectedEquivalence:
         addresses = np.arange(n, dtype=np.int64) * 64
         addresses[ids == 1] += 1 << 20
         kinds = np.zeros(n, dtype=np.uint8)
-        assert_backends_agree(
-            tiny_sim(), names, ids, addresses, kinds, [400], "duplicate names"
-        )
+        check_agreement(tiny_sim(), names, ids, addresses, kinds, [400], "duplicate names")
 
-    def test_chunk_cut_every_access(self):
+    def test_chunk_cut_every_access(self, check_agreement):
         """Worst-case segmentation: every access its own replay call."""
         rng = np.random.default_rng(5)
         n = 120
         names, ids, addresses, kinds = random_trace(rng, 3, n)
-        assert_backends_agree(
+        check_agreement(
             tiny_sim(), names, ids, addresses, kinds, list(range(1, n)), "per-access cuts"
         )
 
 
 class TestBackendSelection:
-    """The knob plumbing: registry, env var, overrides, validation."""
-
-    def test_registry_names(self):
-        assert set(REPLAY_BACKENDS.names()) == {"reference", "vectorized", "compiled"}
-        assert REPLAY_BACKENDS.resolve("loop") == "reference"
-        assert REPLAY_BACKENDS.resolve("array") == "vectorized"
-        assert REPLAY_BACKENDS.resolve("numba") == "compiled"
-        assert REPLAY_BACKENDS.resolve("jit") == "compiled"
+    """One engine: ``replay`` has no selector left to turn."""
 
     def test_default_is_vectorized(self, monkeypatch):
-        monkeypatch.delenv("SMASH_REPRO_REPLAY_BACKEND", raising=False)
-        assert replay_backend_name() == "vectorized"
-        assert MemoryHierarchy(SimConfig.scaled(16)).replay_backend == "vectorized"
+        """Every ``replay`` call goes straight to the vectorized engine."""
+        import repro.sim.memory as memory
 
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("SMASH_REPRO_REPLAY_BACKEND", "reference")
-        assert MemoryHierarchy(SimConfig.scaled(16)).replay_backend == "reference"
+        calls = []
+        engine = memory.replay_vectorized
 
-    def test_env_var_validated(self, monkeypatch):
-        monkeypatch.setenv("SMASH_REPRO_REPLAY_BACKEND", "sequential")
-        with pytest.raises(ValueError, match="SMASH_REPRO_REPLAY_BACKEND"):
-            RuntimeConfig.from_env()
+        def counting(*args):
+            calls.append(len(args[3]))
+            return engine(*args)
 
-    def test_override_context(self, monkeypatch):
-        monkeypatch.delenv("SMASH_REPRO_REPLAY_BACKEND", raising=False)
-        with backend_override("reference"):
-            assert replay_backend_name() == "reference"
-            assert MemoryHierarchy(SimConfig.scaled(16)).replay_backend == "reference"
-        assert replay_backend_name() == "vectorized"
-
-    def test_runtime_config_normalizes_alias(self):
-        assert RuntimeConfig(replay_backend="loop").replay_backend == "reference"
-
-    def test_runtime_config_rejects_unknown(self):
-        with pytest.raises(ValueError, match="replay backend"):
-            RuntimeConfig(replay_backend="per-element")
+        monkeypatch.setattr(memory, "replay_vectorized", counting)
+        h = MemoryHierarchy(SimConfig.scaled(16))
+        h.access(MemoryRequest("a", 0))
+        h.replay(["b"], np.zeros(3, dtype=np.int64), np.arange(3) * 64, np.zeros(3, np.uint8))
+        assert calls == [1, 3]
 
     def test_backend_not_in_job_key(self):
-        """Like every runtime knob, the backend must not split the cache."""
+        """Like every runtime knob, the engine must not split the cache."""
         from repro.eval.runner import Job, job_key, suite_source
 
         job = Job("spmv", "taco_csr", suite_source("M2", 64), SimConfig.scaled(16))
         assert "backend" not in str(sorted(job.payload()))
         assert job_key(job) == job_key(job)
 
-    def test_unknown_backend_suggests_a_name(self):
-        """The registry's did-you-mean error reaches backend resolution."""
-        from repro.api.registry import UnknownNameError
 
-        with pytest.raises(UnknownNameError, match="did you mean 'compiled'"):
-            REPLAY_BACKENDS.resolve("complied")
-        with pytest.raises(ValueError, match="replay backend"):
-            RuntimeConfig(replay_backend="complied")
-
-    def test_compiled_selectable_when_available(self):
-        """With kernels available the compiled tier resolves to itself."""
-        h = MemoryHierarchy(SimConfig.scaled(16), replay_backend="compiled")
-        assert h.replay_backend == "compiled"
-        assert RuntimeConfig(replay_backend="numba").replay_backend == "compiled"
-
-
-class TestCompiledFallback:
-    """Without numba, "compiled" degrades to "vectorized" — warning once."""
-
-    @pytest.fixture(autouse=True)
-    def without_numba(self, monkeypatch):
-        monkeypatch.setattr(replay_compiled, "FORCE_PYTHON_KERNELS", False)
-        monkeypatch.setattr(replay_compiled, "NUMBA_AVAILABLE", False)
-        monkeypatch.setattr(replay_core, "_fallback_warned", False)
-
-    def test_falls_back_to_vectorized_with_one_warning(self):
-        with pytest.warns(RuntimeWarning, match="numba"):
-            h = MemoryHierarchy(SimConfig.scaled(16), replay_backend="compiled")
-        assert h.replay_backend == "vectorized"
-        # The warning fires once per process, not once per hierarchy.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            again = MemoryHierarchy(SimConfig.scaled(16), replay_backend="compiled")
-        assert again.replay_backend == "vectorized"
-        assert caught == []
-
-    def test_fallback_is_not_an_error_end_to_end(self):
-        """A kernel run under the unavailable tier completes normally."""
-        from repro.api import Session
-        from repro.workloads.suite import generate_matrix
-
-        coo = generate_matrix("M2", dim=48)
-        runtime = RuntimeConfig(processes=1, cache_dir=None, replay_backend="compiled")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with Session(sim=SimConfig.scaled(16), runtime=runtime) as session:
-                fallback = session.run_kernel("spmv", "taco_csr", coo)
-            with Session(
-                sim=SimConfig.scaled(16),
-                runtime=RuntimeConfig(processes=1, cache_dir=None, replay_backend="vectorized"),
-            ) as session:
-                direct = session.run_kernel("spmv", "taco_csr", coo)
-        assert fallback.report == direct.report
-
-    def test_config_still_accepts_the_name(self):
-        """Selection is valid config everywhere; only resolution degrades."""
-        assert RuntimeConfig(replay_backend="compiled").replay_backend == "compiled"
-        assert replay_core.effective_backend("compiled") == "vectorized"
-
-
-class TestWorkerPoolPinning:
-    """The resolved backend must reach pool workers, not just the parent."""
-
-    def test_explicit_backend_pins_workers(self):
-        from repro.eval.runner import SweepRunner, kernel_job, suite_source
-
-        sim = SimConfig.scaled(16)
-        jobs = [
-            kernel_job("spmv", scheme, suite_source("M2", 48), sim)
-            for scheme in ("taco_csr", "smash_hw")
-        ]
-        with SweepRunner(processes=1, cache_dir=None, replay_backend="reference") as serial:
-            expected = serial.run(jobs)
-        with SweepRunner(processes=2, cache_dir=None, replay_backend="reference") as pooled:
-            assert pooled.run(jobs) == expected
-
-    def test_initializer_applies_override(self):
-        """The initializer function itself pins the process-local override."""
-        from repro.eval.runner import _init_worker_overrides
-
-        _init_worker_overrides(False, None, True, "reference")
-        try:
-            assert replay_backend_name() == "reference"
-        finally:
-            replay_core.set_backend_override(None)
-
-
-class TestCompiledKernelEquivalence:
-    """Real kernel traces through the compiled engine, at several chunk cuts."""
+class TestKernelEquivalence:
+    """Real kernel traces: array path vs reference loop, at several chunk cuts."""
 
     @pytest.mark.parametrize("chunk", [0, 7, 4096])
-    def test_spmv_schemes_match_reference(self, chunk):
+    def test_spmv_schemes_match_reference(self, chunk, monkeypatch, reference_calls):
         from repro.api import Session
-        from repro.sim import trace as _trace
         from repro.workloads.suite import generate_matrix
 
         coo = generate_matrix("M8", dim=48)
-        reports = {}
-        for backend in ("reference", "compiled"):
-            runtime = RuntimeConfig(
-                processes=1,
-                cache_dir=None,
-                trace_chunk=chunk,
-                replay_backend=backend,
-            )
+        runtime = RuntimeConfig(processes=1, cache_dir=None, trace_chunk=chunk)
+        reports, calls = {}, {}
+        for oracle in (True, False):
+            replay_mode(monkeypatch, oracle)
+            before = reference_calls.calls
             with Session(sim=SimConfig.scaled(16), runtime=runtime) as session:
-                reports[backend] = {
+                reports[oracle] = {
                     scheme: session.run_kernel("spmv", scheme, coo).report
                     for scheme in ("taco_csr", "smash_sw", "smash_hw")
                 }
-        assert reports["compiled"] == reports["reference"]
+            calls[oracle] = reference_calls.calls - before
+        assert reports[False] == reports[True]
+        assert calls[True] > 0  # the oracle really ran the loop
 
 
 class TestSnapshotStatsRegression:

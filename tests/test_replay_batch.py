@@ -1,13 +1,15 @@
 """Batched multi-trace replay and per-phase profiling: knobs and exactness.
 
 ``RuntimeConfig.replay_batch`` groups several kernel jobs' trace segments
-into one merged backend invocation per hierarchy (amortizing per-call
+into one merged replay call per hierarchy (amortizing per-call
 dispatch in many-small-job serial sweeps); ``replay_profile`` collects
 per-phase replay wall-clock.  Neither knob may change a single report bit:
 the suite compares batched against unbatched execution across kernels,
 schemes, and mixed kernel/application batches, and unit-tests the
 ``ReplayBatcher`` merge (structure-table union, per-hierarchy isolation).
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -152,12 +154,12 @@ class TestReplayProfile:
         assert set(profile) <= {"prefetch", "lru", "stalls", "walk"}
         assert all(seconds >= 0.0 for seconds in profile.values())
 
-    def test_reference_backend_records_the_fused_walk(self):
-        with SweepRunner(
-            processes=1, cache_dir=None, replay_backend="reference", replay_profile=True
-        ) as runner:
+    def test_reference_backend_records_the_fused_walk(self, monkeypatch):
+        # Above every segment length, each replay runs the reference loop.
+        monkeypatch.setattr(replay_core, "MIN_VECTORIZED_HEADS", sys.maxsize)
+        with SweepRunner(processes=1, cache_dir=None, replay_profile=True) as runner:
             runner.run(_sweep_jobs()[:1])
-            assert "walk" in runner.last_profile
+            assert set(runner.last_profile) == {"walk"}
 
     def test_sweep_result_surfaces_stats(self):
         spec = JobSpec("spmv", "taco_csr", Workload.suite("M2", dim=48))
