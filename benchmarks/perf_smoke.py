@@ -82,11 +82,9 @@ def run_sweep_engine(processes: int, cache_scale: int, dim: int = 1024) -> dict:
     so pool startup is amortized: the *cold* parallel timing includes
     worker-pool creation, the *warm* timing reuses the same pool for a
     second run — the difference is the startup cost the old single-timing
-    record conflated with throughput. ``serial_batched_seconds`` runs the
-    same jobs serially with ``replay_batch`` merging trace replays.
-    ``cpu_count`` is recorded because on a single-core host the parallel
-    path cannot beat serial no matter the sizing — the record is a
-    measurement, not an assertion.
+    record conflated with throughput. ``cpu_count`` is recorded because on
+    a single-core host the parallel path cannot beat serial no matter the
+    sizing — the record is a measurement, not an assertion.
     """
     sim = SimConfig.default() if cache_scale <= 1 else SimConfig.scaled(cache_scale)
     keys = ("M2", "M5", "M8", "M11", "M13", "M15")
@@ -102,14 +100,6 @@ def run_sweep_engine(processes: int, cache_scale: int, dim: int = 1024) -> dict:
         serial.run(jobs)
         timings["serial_seconds"] = round(time.perf_counter() - start, 4)
     print(f"  sweep[serial:1p]        {timings['serial_seconds']:8.3f}s", flush=True)
-
-    with SweepRunner(processes=1, replay_batch=len(keys)) as batched:
-        start = time.perf_counter()
-        batched.run(jobs)
-        timings["serial_batched_seconds"] = round(time.perf_counter() - start, 4)
-    print(
-        f"  sweep[serial batched]   {timings['serial_batched_seconds']:8.3f}s", flush=True
-    )
 
     with SweepRunner(processes=processes) as pool:
         start = time.perf_counter()

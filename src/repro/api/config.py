@@ -12,11 +12,11 @@ the trace engine, the CLI) receives an explicit, validated value.
 
 None of these knobs can change a result: processes and cache only affect
 where/whether a job executes, the chunk budget only bounds peak replay
-memory (DESIGN.md section 10), the batching/profiling knobs only regroup
-or time the replay engine's calls (DESIGN.md section 13), and the
-pool-dispatch knob (``SMASH_REPRO_POOL_CHUNK``, DESIGN.md section 17) only
-changes how many jobs ride one IPC round-trip. That is why none of them
-participate in the report-cache job key.
+memory (DESIGN.md section 10), the profiling knob
+(``SMASH_REPRO_REPLAY_PROFILE``) only times the replay engine's phases
+(DESIGN.md section 13), and the service and store knobs only say where
+results are served and indexed. That is why none of them participate in
+the report-cache job key.
 """
 
 from __future__ import annotations
@@ -43,13 +43,6 @@ CACHE_ENV_VAR = "SMASH_REPRO_CACHE"
 
 #: Re-exported so runtime-config users need only this module.
 TRACE_CHUNK_ENV_VAR = CHUNK_ENV_VAR
-
-#: Environment variable setting the replay batch size (jobs per flush).
-REPLAY_BATCH_ENV_VAR = "SMASH_REPRO_REPLAY_BATCH"
-
-#: Environment variable setting the worker-pool dispatch chunk (jobs per
-#: pool task; ``0`` = auto-sized from the batch and worker count).
-POOL_CHUNK_ENV_VAR = "SMASH_REPRO_POOL_CHUNK"
 
 #: Environment variable enabling per-phase replay profiling.
 REPLAY_PROFILE_ENV_VAR = "SMASH_REPRO_REPLAY_PROFILE"
@@ -95,16 +88,11 @@ class RuntimeConfig:
     ``cache_dir`` locates the on-disk report cache; ``None`` disables it.
     ``trace_chunk`` is the per-segment access budget of the bounded-memory
     trace replay; ``None`` (or 0, normalized to ``None``) restores the
-    monolithic build-then-replay path. ``replay_batch`` groups up to that
-    many kernel jobs' trace segments into one replay call during serial
-    sweeps (1 = unbatched). ``replay_profile`` collects per-phase replay
-    wall-clock into ``SweepResult.stats``. ``pool_chunk`` is the
-    worker-pool dispatch granularity — up to that many cache-miss jobs
-    travel in one pool task, so one IPC round-trip carries a whole batch
-    (0 = auto: each batch is split evenly over the workers; 1 = the
-    historical one-job-per-future dispatch). ``service_host``/
-    ``service_port`` are where the ``repro.service`` daemon binds
-    (``smash-repro serve``; port 0 asks the OS for an ephemeral port). ``store_ingest`` enables the incremental
+    monolithic build-then-replay path. ``replay_profile`` collects
+    per-phase replay wall-clock into ``SweepResult.stats``.
+    ``service_host``/``service_port`` are where the ``repro.service``
+    daemon binds (``smash-repro serve``; port 0 asks the OS for an
+    ephemeral port). ``store_ingest`` enables the incremental
     result-store index (``repro.store``) on cached sweeps; ``store_index``
     relocates the sqlite index file (``None`` = ``index.sqlite`` under the
     cache root). Like every other knob here they say *how* work is
@@ -115,9 +103,7 @@ class RuntimeConfig:
     processes: int = 1
     cache_dir: Optional[Union[str, pathlib.Path]] = DEFAULT_CACHE_DIR
     trace_chunk: Optional[int] = DEFAULT_CHUNK_ACCESSES
-    replay_batch: int = 1
     replay_profile: bool = False
-    pool_chunk: int = 0
     service_host: str = DEFAULT_SERVICE_HOST
     service_port: int = DEFAULT_SERVICE_PORT
     store_ingest: bool = True
@@ -142,26 +128,9 @@ class RuntimeConfig:
                 # 0 is the documented spelling of "monolithic" in the
                 # environment knob; normalize so there is one falsy value.
                 object.__setattr__(self, "trace_chunk", None)
-        if isinstance(self.replay_batch, bool) or not isinstance(self.replay_batch, int):
-            raise ValueError(
-                f"replay batch size must be a positive integer, got {self.replay_batch!r}"
-            )
-        if self.replay_batch < 1:
-            raise ValueError(
-                f"replay batch size must be at least 1, got {self.replay_batch}"
-            )
         if not isinstance(self.replay_profile, bool):
             raise ValueError(
                 f"replay profile flag must be a bool, got {self.replay_profile!r}"
-            )
-        if isinstance(self.pool_chunk, bool) or not isinstance(self.pool_chunk, int):
-            raise ValueError(
-                f"pool chunk size must be a non-negative integer (0 = auto), "
-                f"got {self.pool_chunk!r}"
-            )
-        if self.pool_chunk < 0:
-            raise ValueError(
-                f"pool chunk size must be non-negative (0 = auto), got {self.pool_chunk}"
             )
         if not isinstance(self.service_host, str) or not self.service_host:
             raise ValueError(
@@ -196,9 +165,7 @@ class RuntimeConfig:
         processes: Optional[int] = None,
         cache_dir: object = _UNSET,
         trace_chunk: object = _UNSET,
-        replay_batch: Optional[int] = None,
         replay_profile: Optional[bool] = None,
-        pool_chunk: Optional[int] = None,
         service_host: Optional[str] = None,
         service_port: Optional[int] = None,
         store_ingest: Optional[bool] = None,
@@ -223,15 +190,9 @@ class RuntimeConfig:
         if trace_chunk is _UNSET:
             raw = os.environ.get(CHUNK_ENV_VAR, "").strip()
             trace_chunk = _parse_int(raw, CHUNK_ENV_VAR) if raw else DEFAULT_CHUNK_ACCESSES
-        if replay_batch is None:
-            raw = os.environ.get(REPLAY_BATCH_ENV_VAR, "").strip()
-            replay_batch = _parse_int(raw, REPLAY_BATCH_ENV_VAR) if raw else 1
         if replay_profile is None:
             raw = os.environ.get(REPLAY_PROFILE_ENV_VAR, "").strip().lower()
             replay_profile = bool(raw) and raw not in _FALSY
-        if pool_chunk is None:
-            raw = os.environ.get(POOL_CHUNK_ENV_VAR, "").strip()
-            pool_chunk = _parse_int(raw, POOL_CHUNK_ENV_VAR) if raw else 0
         if service_host is None:
             service_host = (
                 os.environ.get(SERVICE_HOST_ENV_VAR, "").strip() or DEFAULT_SERVICE_HOST
@@ -252,9 +213,7 @@ class RuntimeConfig:
             processes=processes,
             cache_dir=cast(Optional[Union[str, pathlib.Path]], cache_dir),
             trace_chunk=cast(Optional[int], trace_chunk),
-            replay_batch=replay_batch,
             replay_profile=replay_profile,
-            pool_chunk=pool_chunk,
             service_host=service_host,
             service_port=service_port,
             store_ingest=store_ingest,
@@ -278,13 +237,8 @@ class RuntimeConfig:
         cache = str(self.cache_dir) if self.cache_enabled else "disabled"
         chunk = self.trace_chunk if self.trace_chunk is not None else "monolithic"
         summary = f"processes={self.processes}, cache={cache}, trace_chunk={chunk}"
-        if self.replay_batch != 1:
-            summary += f", replay_batch={self.replay_batch}"
         if self.replay_profile:
             summary += ", replay_profile=on"
-        if self.processes > 1:
-            chunk = self.pool_chunk if self.pool_chunk else "auto"
-            summary += f", pool_chunk={chunk}"
         if not self.store_ingest:
             summary += ", store=off"
         elif self.store_index is not None:

@@ -93,9 +93,7 @@ class Session:
                     if runner.trace_chunk is not USE_ENV_CHUNK
                     else env_defaults.trace_chunk
                 ),
-                replay_batch=runner.replay_batch,
                 replay_profile=runner.replay_profile,
-                pool_chunk=runner.pool_chunk,
             )
             self._runner = runner
         else:
@@ -104,9 +102,7 @@ class Session:
                 processes=self.runtime.processes,
                 cache_dir=self.runtime.cache_dir,
                 trace_chunk=self.runtime.trace_chunk,
-                replay_batch=self.runtime.replay_batch,
                 replay_profile=self.runtime.replay_profile,
-                pool_chunk=self.runtime.pool_chunk,
             )
         # Keep the result-store index warm: every report the cache persists
         # is ingested into the sqlite index as it lands (repro.store;

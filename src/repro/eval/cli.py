@@ -27,8 +27,7 @@ Serve sweeps over HTTP from one shared session/cache/pool::
 The CLI is a thin shell over :class:`repro.api.Session`: flags and the
 documented environment knobs (``SMASH_REPRO_PROCESSES``,
 ``SMASH_REPRO_TRACE_CHUNK``, ``SMASH_REPRO_CACHE_DIR``,
-``SMASH_REPRO_CACHE``, ``SMASH_REPRO_REPLAY_BATCH``,
-``SMASH_REPRO_REPLAY_PROFILE``, ``SMASH_REPRO_POOL_CHUNK``,
+``SMASH_REPRO_CACHE``, ``SMASH_REPRO_REPLAY_PROFILE``,
 ``SMASH_REPRO_SERVICE_HOST``, ``SMASH_REPRO_SERVICE_PORT``) are folded
 into one validated
 :class:`~repro.api.config.RuntimeConfig` — explicit flags win — and every
@@ -91,35 +90,12 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
         help="disable the on-disk report cache for this invocation",
     )
     parser.add_argument(
-        "--replay-batch",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "merge up to N kernel jobs' trace replays per replay call in "
-            "serial sweeps (default: $SMASH_REPRO_REPLAY_BATCH or 1 = "
-            "unbatched); results are bit-identical either way"
-        ),
-    )
-    parser.add_argument(
         "--replay-profile",
         action="store_true",
         default=None,
         help=(
             "collect per-phase replay wall-clock during serial sweeps "
             "(also via $SMASH_REPRO_REPLAY_PROFILE)"
-        ),
-    )
-    parser.add_argument(
-        "--pool-chunk",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "jobs dispatched per worker-pool task: 0 = auto-split across "
-            "workers (default), 1 = one job per task, N = fixed chunks "
-            "(also via $SMASH_REPRO_POOL_CHUNK); results are bit-identical "
-            "either way"
         ),
     )
 
@@ -262,9 +238,7 @@ def _build_session(args: argparse.Namespace) -> Session:
     """
     kwargs = {
         "processes": args.processes,
-        "replay_batch": args.replay_batch,
         "replay_profile": args.replay_profile,
-        "pool_chunk": args.pool_chunk,
         # Only the serve subcommand defines the bind flags; the service
         # knobs are harmless defaults everywhere else.
         "service_host": getattr(args, "host", None),

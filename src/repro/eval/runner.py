@@ -268,74 +268,14 @@ def _execute_job_payload(job: Job) -> Dict:
     return execute_job(job).to_dict()
 
 
-def _execute_jobs_batched(jobs: Sequence[Job], batch: int) -> List[Dict]:
-    """Execute jobs in order, batching kernel jobs' replays up to ``batch``.
+def _execute_payloads(jobs: Sequence[Job]) -> List[Dict]:
+    """Execute jobs in order and serialize their reports.
 
-    Runs of consecutive kernel-kind jobs are grouped up to ``batch``; each
-    group's trace segments defer through one
-    :class:`~repro.sim.memory.ReplayBatcher` and replay in a single merged
-    replay call per hierarchy at the end of the group, after which
-    the memory-derived report fields are rebuilt from the hierarchy's final
-    statistics (everything else in a kernel report is trace-independent).
-    Application jobs merge several phase reports mid-run, so they execute
-    unbatched, in order. Payloads are bit-identical to unbatched execution:
-    per-job hierarchies are independent, and merging one hierarchy's
-    segments is exact by the chunk-boundary contract.
-
-    Shared by the serial miss path (``replay_batch > 1``) and the chunked
-    worker-pool entry point :func:`_execute_chunk_payloads`.
+    The one execution loop: the serial miss path runs it in-process, and
+    every pool task runs it inside a worker on one dispatch chunk, a
+    one-job chunk included. Payload order matches job order.
     """
-    from repro.sim.memory import ReplayBatcher, replay_batching
-
-    payloads: List[Optional[Dict]] = [None] * len(jobs)
-    group: List[int] = []
-
-    def flush_group() -> None:
-        if not group:
-            return
-        batcher = ReplayBatcher()
-        pending: List[Tuple[int, CostReport, List]] = []
-        for idx in group:
-            with replay_batching(batcher):
-                report = execute_job(jobs[idx])
-            pending.append((idx, report, batcher.take_new_hierarchies()))
-        batcher.flush()
-        for idx, report, hierarchies in pending:
-            if len(hierarchies) > 1:
-                raise RuntimeError(
-                    "replay batching expects one memory hierarchy per "
-                    f"kernel job, found {len(hierarchies)}"
-                )
-            if hierarchies:
-                report = _patch_memory_fields(
-                    report, hierarchies[0].snapshot_stats()
-                )
-            payloads[idx] = report.to_dict()
-        group.clear()
-
-    for i, job in enumerate(jobs):
-        if job.kind in KERNEL_KINDS:
-            group.append(i)
-            if len(group) >= batch:
-                flush_group()
-        else:
-            flush_group()
-            payloads[i] = _execute_job_payload(job)
-    flush_group()
-    return payloads  # type: ignore[return-value]
-
-
-def _execute_chunk_payloads(jobs: List[Job], batch: int) -> List[Dict]:
-    """Worker entry point for chunked dispatch: one pool task, many jobs.
-
-    Executes a whole dispatch chunk inside the worker with the per-worker
-    replay batcher: the chunk's kernel jobs defer their trace segments and
-    flush through one merged replay call per hierarchy. An explicit
-    ``replay_batch > 1`` bounds the group size as on the serial path;
-    otherwise the whole chunk batches as one group (result-neutral either
-    way by the chunk-boundary contract). Payload order matches job order.
-    """
-    return _execute_jobs_batched(jobs, batch if batch > 1 else max(1, len(jobs)))
+    return [_execute_job_payload(job) for job in jobs]
 
 
 # --------------------------------------------------------------------------- #
@@ -479,20 +419,14 @@ class SweepRunner:
     pins the bounded-memory replay budget for this runner's jobs — serial
     execution wraps a process-local override, pool workers are initialized
     with it — while the :data:`USE_ENV_CHUNK` default defers to the
-    environment knob. ``replay_batch`` groups up to that many consecutive
-    kernel-job cache misses per serial batch, deferring their trace replays
-    into one merged replay call each (see
-    :class:`repro.sim.memory.ReplayBatcher`); ``replay_profile`` collects
-    per-phase replay wall-clock of serial execution into
-    :attr:`last_profile`. ``pool_chunk`` sets how many cache misses one
-    worker-pool task carries (0 = auto-split across ``processes * 4``
-    tasks, 1 = the historical one-job-per-task dispatch) — inside a worker
-    a chunk's kernel jobs batch their replays through one merged replay
-    call per hierarchy, exactly as the serial batcher does. Results are
-    independent of all six knobs — ``None`` defers ``replay_batch``/
-    ``replay_profile``/``pool_chunk`` to their environment variables. A
-    worker killed mid-sweep breaks the pool; the runner then replaces the
-    pool and re-dispatches the jobs it lost, once (DESIGN.md section 17).
+    environment knob. ``replay_profile`` collects per-phase replay
+    wall-clock of serial execution into :attr:`last_profile`; ``None``
+    defers it to its environment variable. Results are independent of all
+    four knobs. Pooled misses travel in chunks of
+    :meth:`_effective_pool_chunk` jobs per pool task, and every chunk runs
+    the same per-job loop as serial execution. A worker killed mid-sweep
+    breaks the pool; the runner then replaces the pool and re-dispatches
+    the jobs it lost, once (DESIGN.md section 17).
 
     The runner is safe for concurrent use from multiple threads
     (DESIGN.md section 15). Scheduling is *single-flight*: an in-flight
@@ -513,9 +447,7 @@ class SweepRunner:
         processes: Optional[int] = None,
         cache_dir: Optional[Union[str, pathlib.Path]] = None,
         trace_chunk: object = USE_ENV_CHUNK,
-        replay_batch: Optional[int] = None,
         replay_profile: Optional[bool] = None,
-        pool_chunk: Optional[int] = None,
     ) -> None:
         self.processes = resolve_processes(processes)
         self.cache = ReportCache(cache_dir) if cache_dir is not None else None
@@ -526,13 +458,9 @@ class SweepRunner:
             processes=1,
             cache_dir=None,
             trace_chunk=None,
-            replay_batch=replay_batch,
             replay_profile=replay_profile,
-            pool_chunk=pool_chunk,
         )
-        self.replay_batch = resolved.replay_batch
         self.replay_profile = resolved.replay_profile
-        self.pool_chunk = resolved.pool_chunk
         #: Per-phase replay seconds of the last :meth:`run` call's serial
         #: execution (``None`` until a profiled run happens).
         self.last_profile: Optional[Dict[str, float]] = None
@@ -670,10 +598,9 @@ class SweepRunner:
     def _execute_owned_serial(self, owned: List[Tuple[str, Job, "Future[Dict]"]]) -> None:
         """Execute owned misses in this thread, resolving their futures.
 
-        Execution order, override handling, replay batching and profiling
-        are exactly the historical serial path, so payloads stay
-        bit-identical; the execution lock keeps the module-level override
-        contexts from interleaving between threads.
+        Jobs run in order through :func:`_execute_payloads`, the loop every
+        pool chunk runs too; the execution lock keeps the module-level
+        override and profile contexts from interleaving between threads.
         """
         pending = dict((key, future) for key, _, future in owned)
         try:
@@ -686,11 +613,7 @@ class SweepRunner:
                         profile = overrides.enter_context(
                             _replay_core.profile_collection()
                         )
-                    jobs = [job for _, job, _ in owned]
-                    if self.replay_batch > 1:
-                        fresh = self._execute_serial_batched(jobs)
-                    else:
-                        fresh = [_execute_job_payload(job) for job in jobs]
+                    fresh = _execute_payloads([job for _, job, _ in owned])
                     if profile is not None:
                         self.last_profile = dict(profile)
             for (key, job, future), payload in zip(owned, fresh):
@@ -705,14 +628,11 @@ class SweepRunner:
             raise
 
     def _effective_pool_chunk(self, n_owned: int) -> int:
-        """Jobs carried per pool task: the explicit knob, else an auto split.
+        """Jobs carried per pool task: the misses split over ``processes * 4``.
 
-        Auto (``pool_chunk=0``) divides the misses over ``processes * 4``
-        tasks — the oversubscription factor keeps workers busy when chunks
-        finish unevenly — with a floor of one job per task.
+        The oversubscription factor keeps workers busy when chunks finish
+        unevenly; the floor is one job per task.
         """
-        if self.pool_chunk:
-            return self.pool_chunk
         return max(1, -(-n_owned // (self.processes * 4)))
 
     def _execute_owned_pool(self, owned: List[Tuple[str, Job, "Future[Dict]"]]) -> None:
@@ -720,10 +640,9 @@ class SweepRunner:
 
         One pool task carries :meth:`_effective_pool_chunk` jobs, so a
         single IPC round-trip (one pickle each way) amortizes over the
-        whole chunk and the worker batches the chunk's replays. The
-        single-flight futures this call owns are fanned back out per job by
-        the chunk callback; single-job chunks take the historical
-        one-job-per-task entry point.
+        whole chunk, and a source's consecutive jobs share one worker's
+        matrix memo. The single-flight futures this call owns are fanned
+        back out per job by the chunk callback.
         """
         chunk_size = self._effective_pool_chunk(len(owned))
         for start in range(0, len(owned), chunk_size):
@@ -752,11 +671,7 @@ class SweepRunner:
         """
         pool = self._ensure_pool()
         try:
-            if len(chunk) == 1:
-                task = pool.submit(_execute_job_payload, chunk[0][1])
-            else:
-                jobs = [job for _, job, _ in chunk]
-                task = pool.submit(_execute_chunk_payloads, jobs, self.replay_batch)
+            task = pool.submit(_execute_payloads, [job for _, job, _ in chunk])
         except BrokenExecutor:
             if not retry:
                 raise
@@ -776,8 +691,7 @@ class SweepRunner:
         A failing job fails its whole chunk: none of the chunk's payloads
         exist (the worker raised before returning), so every joiner sees
         the error, nothing is cached, and a retry re-executes the chunk's
-        jobs — the same retry semantics as per-job dispatch, at chunk
-        granularity. A broken pool is the exception: the chunk is
+        jobs. A broken pool is the exception: the chunk is
         re-dispatched once on a fresh pool (:meth:`_dispatch_chunk`).
         """
 
@@ -792,7 +706,7 @@ class SweepRunner:
                     error = redispatch_error
             payloads: List[Dict] = []
             if error is None:
-                payloads = [task.result()] if len(chunk) == 1 else task.result()
+                payloads = task.result()
                 if len(payloads) != len(chunk):
                     error = RuntimeError(
                         f"pool chunk returned {len(payloads)} payloads "
@@ -821,8 +735,6 @@ class SweepRunner:
         it on the worker pool and returns immediately. Every caller gets
         its own :class:`CostReport` built from the shared JSON payload, so
         reports are bit-identical to :meth:`run`'s on every path.
-        Submission-time batching (``replay_batch``) applies only to
-        :meth:`run` batches, never across independent ``submit`` calls.
         """
         key = job_key(job)
         with self._lock:
@@ -870,15 +782,6 @@ class SweepRunner:
 
         return [CostReport.from_dict(futures[key].result()) for key in keys]
 
-    def _execute_serial_batched(self, jobs: Sequence[Job]) -> List[Dict]:
-        """Serial miss execution with kernel jobs' replays batched.
-
-        Delegates to :func:`_execute_jobs_batched` (shared with the chunked
-        worker-pool entry point) with this runner's ``replay_batch`` as the
-        group bound.
-        """
-        return _execute_jobs_batched(jobs, self.replay_batch)
-
     def run_one(self, job: Job) -> CostReport:
         """Convenience wrapper for a single job."""
         return self.run([job])[0]
@@ -907,22 +810,3 @@ def _report_future(payload_future: "Future[Dict]") -> "Future[CostReport]":
 
     payload_future.add_done_callback(chain)
     return report_future
-
-
-def _patch_memory_fields(report: CostReport, stats) -> CostReport:
-    """Rebuild the memory-derived report fields from final hierarchy stats.
-
-    A batched kernel job computes its report before its deferred trace has
-    replayed; these five fields are exactly the ones a kernel report takes
-    from ``MemoryHierarchy.snapshot_stats()`` (``cycles`` is a property over
-    ``memory_stall_cycles``, so it follows along).
-    """
-    return dataclasses.replace(
-        report,
-        memory_stall_cycles=stats.stall_cycles,
-        dram_accesses=stats.dram_accesses,
-        l1_miss_rate=stats.l1.miss_rate,
-        l2_miss_rate=stats.l2.miss_rate,
-        l3_miss_rate=stats.l3.miss_rate,
-        per_structure_accesses=dict(stats.per_structure_accesses),
-    )

@@ -1,11 +1,11 @@
 """RL003: runtime-only knobs must stay out of the report-cache job key.
 
-The sweep cache's whole guarantee (PR 2, restated in ``RuntimeConfig``'s
+The sweep cache's whole guarantee (stated in ``RuntimeConfig``'s
 docstring) is that a job key hashes *what* is computed, never *how*: the
-trace chunk budget, replay backend, replay batch size, worker count and
-cache location all leave results bit-identical, so folding any of them into
+trace chunk budget, replay profiling, worker count, cache location and
+store settings all leave results bit-identical, so folding any of them into
 ``job_key`` would split the cache on knobs that cannot change the answer —
-warm runs re-executing everything after an innocuous backend switch.
+warm runs re-executing everything after an innocuous runtime change.
 
 The rule seeds at the key builders in ``repro/eval/runner.py``
 (``job_key``, ``Job.payload``, ``kernel_job``, ``app_job``) and walks the
@@ -27,7 +27,8 @@ RUNNER_MODULE = "repro.eval.runner"
 KEY_BUILDER_SEEDS = ("job_key", "Job.payload", "kernel_job", "app_job")
 
 #: Identifiers (names or attribute names) that denote runtime-only
-#: execution knobs: the RuntimeConfig fields and their sentinels/builders.
+#: execution knobs: the RuntimeConfig fields and their sentinels/builders,
+#: plus the names of removed knobs, so one that returns is still caught.
 RUNTIME_ONLY_NAMES = frozenset(
     {
         "trace_chunk",
@@ -77,8 +78,8 @@ class CacheKeyPurityRule(Rule):
     id = "RL003"
     title = "runtime-only RuntimeConfig knobs unreachable from job-key builders"
     rationale = (
-        "Job keys hash what is computed, never how (PR 2): chunk budget, "
-        "replay backend/batch, workers and cache location are documented as "
+        "Job keys hash what is computed, never how: chunk budget, replay "
+        "profiling, workers, cache and store location are documented as "
         "result-neutral, so keying on them would shatter the report cache."
     )
 

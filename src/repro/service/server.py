@@ -17,7 +17,9 @@ to an in-process ``Session.sweep``.
 
 Sweep ids are a plain in-process counter (``1``, ``2``, …): deterministic,
 per-daemon, not persisted. The daemon is a front-end, not a database —
-restart it and in-flight ids are gone, but the report cache survives.
+restart it and in-flight ids are gone, but the report cache survives. It
+keeps only the newest :data:`MAX_RETAINED_SWEEPS` sweep records, so a
+long-lived daemon's memory stays bounded.
 """
 
 from __future__ import annotations
@@ -46,6 +48,10 @@ _SWEEP_FIELDS = frozenset({"specs", "sim"})
 
 #: Largest ``POST`` body (bytes) the daemon reads, far above any real sweep.
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Most sweep records the daemon keeps; submitting one more evicts the
+#: oldest, whose id then answers 404 (its reports stay in the cache).
+MAX_RETAINED_SWEEPS = 1024
 
 
 class _UnreadBody(Exception):
@@ -105,6 +111,9 @@ class SweepRecord:
 class ServiceState:
     """Shared daemon state: the Session, the sweep table, the id counter.
 
+    The sweep table holds at most :data:`MAX_RETAINED_SWEEPS` records and
+    evicts the oldest on submit.
+
     The lock serializes sweep submission (making per-sweep stats deltas
     exact) and guards the sweep table; it is never held while waiting on a
     report future, so status and report reads stay responsive while jobs
@@ -146,6 +155,9 @@ class ServiceState:
                 stats=_stats_delta(before, after),
             )
             self._sweeps[record.sweep_id] = record
+            # Dicts keep insertion order, so the first key is the oldest.
+            while len(self._sweeps) > MAX_RETAINED_SWEEPS:
+                del self._sweeps[next(iter(self._sweeps))]
         return record
 
     def get(self, sweep_id: str) -> Optional[SweepRecord]:
@@ -171,8 +183,6 @@ class ServiceState:
         return {
             "processes": runtime.processes,
             "trace_chunk": runtime.trace_chunk,
-            "replay_batch": runtime.replay_batch,
-            "pool_chunk": runtime.pool_chunk,
         }
 
     def query(self, params: Mapping[str, str]) -> List[Dict[str, object]]:

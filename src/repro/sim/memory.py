@@ -39,10 +39,9 @@ kernel x scheme at multiple chunk sizes.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -159,8 +158,6 @@ class MemoryHierarchy:
         accesses are split across any number of consecutive :meth:`replay`
         calls (the chunk-boundary contract above).
         """
-        if _ACTIVE_BATCHER is not None:
-            return _ACTIVE_BATCHER.defer(self, structures, struct_ids, addresses, kinds)
         n = int(addresses.size)
         if n == 0:
             return 0.0
@@ -303,129 +300,6 @@ class MemoryHierarchy:
         self.l3.reset_stats()
         self.prefetcher.reset()
         self.stats = MemoryStats()
-
-
-# --------------------------------------------------------------------------- #
-# Batched multi-trace replay (RuntimeConfig.replay_batch)
-# --------------------------------------------------------------------------- #
-#: When set (via :func:`replay_batching`), every :meth:`MemoryHierarchy.replay`
-#: call in the process defers to this batcher instead of replaying.
-_ACTIVE_BATCHER: Optional["ReplayBatcher"] = None
-
-#: One deferred segment: the structure table plus defensive copies of the
-#: three trace columns (segments may be views into a builder's live arrays).
-_Segment = Tuple[Tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]
-
-
-class ReplayBatcher:
-    """Defers replay calls so many small traces flush in few engine calls.
-
-    Inside a :func:`replay_batching` context every
-    :meth:`MemoryHierarchy.replay` enqueues its segment (returning 0.0 stall
-    cycles — callers that batch must rebuild stall-derived results from the
-    hierarchy statistics after :meth:`flush`).  Flushing concatenates each
-    hierarchy's segments into one merged trace and replays it in a single
-    engine invocation, which amortizes per-call dispatch, marshalling, and
-    numpy overhead across jobs while keeping per-hierarchy state fully
-    independent.  Merging is exact by the chunk-boundary contract: replaying
-    one hierarchy's segments back-to-back in one call is bit-identical to
-    replaying them separately, for any cut points.
-    """
-
-    def __init__(self) -> None:
-        self._entries: List[Tuple[MemoryHierarchy, List[_Segment]]] = []
-        self._index: Dict[int, int] = {}
-        self._mark = 0
-
-    def defer(
-        self,
-        hierarchy: "MemoryHierarchy",
-        structures: Sequence[str],
-        struct_ids: np.ndarray,
-        addresses: np.ndarray,
-        kinds: np.ndarray,
-    ) -> float:
-        """Enqueue one segment for ``hierarchy``; stall cycles are deferred."""
-        pos = self._index.get(id(hierarchy))
-        if pos is None:
-            pos = len(self._entries)
-            self._index[id(hierarchy)] = pos
-            self._entries.append((hierarchy, []))
-        self._entries[pos][1].append(
-            (tuple(structures), struct_ids.copy(), addresses.copy(), kinds.copy())
-        )
-        return 0.0
-
-    def take_new_hierarchies(self) -> List["MemoryHierarchy"]:
-        """Hierarchies first deferred-to since the previous call.
-
-        Calling this after each job ran gives the caller that job's
-        hierarchies, so per-job results can be rebuilt after :meth:`flush`.
-        """
-        new = [hierarchy for hierarchy, _ in self._entries[self._mark :]]
-        self._mark = len(self._entries)
-        return new
-
-    def flush(self) -> None:
-        """Replay everything deferred: one merged call per hierarchy."""
-        global _ACTIVE_BATCHER
-        entries = self._entries
-        self._entries, self._index, self._mark = [], {}, 0
-        previous = _ACTIVE_BATCHER
-        _ACTIVE_BATCHER = None  # replay for real even inside a batching context
-        try:
-            for hierarchy, segments in entries:
-                hierarchy.replay(*_merge_segments(segments))
-        finally:
-            _ACTIVE_BATCHER = previous
-
-
-def _merge_segments(segments: List[_Segment]) -> _Segment:
-    """Concatenate segments into one trace, unioning the structure tables.
-
-    Structure ids are remapped onto a merged name table in first-appearance
-    order.  Names are the only identity the replay engines consult (for
-    prefetcher streams and per-structure counts), so the merged trace is
-    observationally identical to the original sequence of segments.
-    """
-    if len(segments) == 1:
-        return segments[0]
-    names: List[str] = []
-    merged_id: Dict[str, int] = {}
-    id_chunks: List[np.ndarray] = []
-    for structures, struct_ids, _, _ in segments:
-        remap = np.empty(len(structures), dtype=np.int64)
-        for sid, name in enumerate(structures):
-            mid = merged_id.get(name)
-            if mid is None:
-                mid = len(names)
-                merged_id[name] = mid
-                names.append(name)
-            remap[sid] = mid
-        id_chunks.append(remap[struct_ids] if len(structures) else struct_ids)
-    return (
-        tuple(names),
-        np.concatenate(id_chunks),
-        np.concatenate([segment[2] for segment in segments]),
-        np.concatenate([segment[3] for segment in segments]),
-    )
-
-
-@contextlib.contextmanager
-def replay_batching(batcher: ReplayBatcher) -> Iterator[ReplayBatcher]:
-    """Route every hierarchy's replay through ``batcher`` inside the context.
-
-    The caller owns the flush: segments deferred inside the context replay
-    only when ``batcher.flush()`` runs (typically after several jobs'
-    contexts, to merge their traces into few engine invocations).
-    """
-    global _ACTIVE_BATCHER
-    previous = _ACTIVE_BATCHER
-    _ACTIVE_BATCHER = batcher
-    try:
-        yield batcher
-    finally:
-        _ACTIVE_BATCHER = previous
 
 
 class AddressSpace:

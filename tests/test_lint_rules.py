@@ -191,6 +191,19 @@ class TestRL003CacheKey:
         assert [v.rule for v in violations] == ["RL003"]
         assert "replay_batch" in violations[0].message
 
+    @pytest.mark.parametrize(
+        "knob", ["replay_backend", "replay_batch", "pool_chunk", "pool_warmup"]
+    )
+    def test_removed_knob_names_still_fire(self, knob):
+        """Knobs deleted from RuntimeConfig stay barred from the key builders."""
+        leak = f"""
+    def job_key(job, runtime):
+        return (job.kind, runtime.{knob})
+"""
+        violations = run_rules("RL003", leak, RUNNER_PATH)
+        assert [v.rule for v in violations] == ["RL003"]
+        assert knob in violations[0].message
+
     def test_transitive_reachability_fires(self):
         violations = run_rules("RL003", TRANSITIVE_LEAK, RUNNER_PATH)
         assert [v.rule for v in violations] == ["RL003"]

@@ -1,11 +1,13 @@
-"""Tests for the chunked worker-pool path: dispatch, batching, recovery.
+"""Tests for the chunked worker-pool path: dispatch, failure, recovery.
 
 The pool-dispatch contract (DESIGN.md section 17):
 
-* chunked dispatch is byte-identical to serial execution and to the
-  historical one-job-per-task dispatch, at any chunk size and any trace
-  chunk budget — one pool task carries many jobs, the worker batches their
-  replays, and the single-flight futures fan back out per job;
+* the only chunk size is the automatic split, ``ceil(misses / (processes
+  * 4))``, so tests reach one-job and multi-job chunks through the worker
+  count and the number of jobs, and assert the size they get;
+* chunked dispatch is byte-identical to serial execution, with one job or
+  many per pool task and at any trace chunk budget — every chunk runs the
+  serial per-job loop, and the single-flight futures fan back out per job;
 * ``executed`` counts distinct jobs exactly, chunked or not, and warm
   (cache-hit) runs execute nothing;
 * a failing job fails its whole chunk — every joiner sees the error,
@@ -17,6 +19,7 @@ The pool-dispatch contract (DESIGN.md section 17):
   ``executed`` stays exact.
 """
 
+import itertools
 import json
 import multiprocessing
 import os
@@ -27,7 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.api.config import RuntimeConfig
-from repro.eval.cli import build_parser, _build_session
+from repro.eval.cli import build_parser
 from repro.eval.runner import SweepRunner, kernel_job, suite_source
 from repro.sim.config import SimConfig
 
@@ -38,12 +41,26 @@ def _job(key="M8", scheme="taco_csr", dim=48):
     return kernel_job("spmv", scheme, suite_source(key, dim), SIM)
 
 
-def _jobs(dim=48):
-    return [
-        _job(key, scheme, dim)
-        for key in ("M5", "M8")
-        for scheme in ("taco_csr", "smash_hw", "mkl_csr")
-    ]
+_SCHEMES = ("taco_csr", "smash_hw", "mkl_csr", "smash_sw", "taco_bcsr", "ideal_csr")
+
+
+def _jobs(n=6, dim=48):
+    """``n`` distinct SpMV jobs, each source's schemes next to each other."""
+    pairs = itertools.product(("M5", "M8", "M2", "M13"), _SCHEMES)
+    return [_job(key, scheme, dim) for key, scheme in itertools.islice(pairs, n)]
+
+
+#: Jobs per pool task -> the ``(processes, misses)`` whose automatic split
+#: gives it.
+CHUNK_LEGS = {1: (3, 12), 2: (2, 10), 3: (2, 20)}
+
+
+def _pooled(chunk, **kwargs):
+    """A pooled runner and a miss count it splits into ``chunk``-job tasks."""
+    processes, n_jobs = CHUNK_LEGS[chunk]
+    runner = SweepRunner(processes=processes, **kwargs)
+    assert runner._effective_pool_chunk(n_jobs) == chunk  # no leg passes vacuously
+    return runner, n_jobs
 
 
 def _report_keys(reports):
@@ -69,22 +86,24 @@ def _worker_knobs():
 
 class TestChunkedByteIdentity:
     def test_chunked_auto_and_unchunked_match_serial(self, tmp_path):
-        jobs = _jobs()
-        with SweepRunner(processes=1, cache_dir=None) as serial:
-            expected = _report_keys(serial.run(jobs))
-        for label, pool_chunk in (("auto", 0), ("chunked", 3), ("per-job", 1)):
-            with SweepRunner(processes=2, cache_dir=None, pool_chunk=pool_chunk) as pooled:
+        for chunk in (1, 3):
+            pooled, n_jobs = _pooled(chunk, cache_dir=None)
+            jobs = _jobs(n_jobs)
+            with SweepRunner(processes=1, cache_dir=None) as serial:
+                expected = _report_keys(serial.run(jobs))
+            with pooled:
                 got = _report_keys(pooled.run(jobs))
-                assert got == expected, f"{label} dispatch diverged from serial"
+                assert got == expected, f"{chunk}-job chunks diverged from serial"
                 # Cache disabled: every distinct job executed exactly once.
                 assert pooled.stats.executed == len(jobs)
 
     def test_warm_chunked_runs_execute_nothing(self, tmp_path):
-        jobs = _jobs()
-        with SweepRunner(processes=2, cache_dir=tmp_path, pool_chunk=4) as cold:
+        cold, n_jobs = _pooled(3, cache_dir=tmp_path)
+        jobs = _jobs(n_jobs)
+        with cold:
             first = _report_keys(cold.run(jobs))
             assert cold.stats.executed == len(jobs)
-        with SweepRunner(processes=2, cache_dir=tmp_path, pool_chunk=4) as warm:
+        with _pooled(3, cache_dir=tmp_path)[0] as warm:
             second = _report_keys(warm.run(jobs))
             assert second == first
             assert warm.stats.executed == 0
@@ -92,52 +111,49 @@ class TestChunkedByteIdentity:
 
     @pytest.mark.parametrize("trace_chunk", [7, 4096])
     def test_pool_chunked_dispatch_at_trace_chunks(self, trace_chunk):
-        """Batching exactness across process boundaries at tiny/large chunks.
+        """Replay exactness across process boundaries at tiny/large trace chunks.
 
-        The replay equivalence contract under pool-chunked
-        dispatch: workers pin the trace-chunk override, batch the chunk's
-        replays through one merged replay call per hierarchy, and the
-        payloads must still be byte-identical to plain serial execution —
-        the chunk-boundary contract composed with segment merging.
+        Workers pin the trace-chunk override and run two jobs per pool
+        task; the payloads must still be byte-identical to plain serial
+        execution — the chunk-boundary contract across processes.
         """
-        jobs = _jobs()
+        pooled, n_jobs = _pooled(2, cache_dir=None, trace_chunk=trace_chunk)
+        jobs = _jobs(n_jobs)
         with SweepRunner(processes=1, cache_dir=None) as serial:
             expected = _report_keys(serial.run(jobs))
-        with SweepRunner(
-            processes=2, cache_dir=None, pool_chunk=2, trace_chunk=trace_chunk
-        ) as pooled:
+        with pooled:
             assert _report_keys(pooled.run(jobs)) == expected
 
 
 class TestChunkFailure:
     def test_failing_job_fails_its_chunk_and_nothing_is_cached(self, tmp_path):
-        good, bad = _job("M5"), _job("NOPE")
-        with SweepRunner(processes=2, cache_dir=tmp_path, pool_chunk=2) as runner:
+        # Ten misses over two workers travel two per task; the good and the
+        # bad job come last, so they share the final chunk and every other
+        # chunk has resolved by the time the failure surfaces.
+        runner, n_jobs = _pooled(2, cache_dir=tmp_path)
+        good, bad = _job("M5", dim=56), _job("NOPE")
+        jobs = _jobs(n_jobs - 2) + [good, bad]
+        with runner:
             with pytest.raises(Exception):
-                runner.run([good, bad])
+                runner.run(jobs)
             assert not runner._inflight  # every owned future was resolved
-            assert runner.stats.executed == 2
+            assert runner.stats.executed == len(jobs)
             # The good job rode the failed chunk: it was never cached, so a
             # retry re-executes it (and succeeds).
             report = runner.run([good])[0]
             assert report.kernel == "spmv"
-            assert runner.stats.executed == 3
+            assert runner.stats.executed == len(jobs) + 1
             assert runner.stats.cache_hits == 0
 
 
 class TestEffectivePoolChunk:
-    def test_explicit_chunk_wins(self):
-        with SweepRunner(processes=4, cache_dir=None, pool_chunk=9) as runner:
-            assert runner._effective_pool_chunk(100) == 9
-            assert runner._effective_pool_chunk(2) == 9
-
     def test_auto_chunk_splits_with_oversubscription(self):
-        with SweepRunner(processes=4, cache_dir=None, pool_chunk=0) as runner:
+        with SweepRunner(processes=4, cache_dir=None) as runner:
             # ceil(n / (processes * 4)), floored at one job per task.
             assert runner._effective_pool_chunk(100) == 7
             assert runner._effective_pool_chunk(16) == 1
             assert runner._effective_pool_chunk(1) == 1
-        with SweepRunner(processes=2, cache_dir=None) as runner:  # default auto
+        with SweepRunner(processes=2, cache_dir=None) as runner:
             assert runner._effective_pool_chunk(36) == 5
 
 
@@ -190,20 +206,20 @@ def kill_first_worker_job(monkeypatch, tmp_path):
 class TestWorkerDeath:
     """A SIGKILLed worker breaks the pool; the runner rebuilds it once."""
 
-    @pytest.mark.parametrize("pool_chunk", [0, 1])
-    def test_sweep_survives_a_killed_worker(self, kill_first_worker_job, tmp_path, pool_chunk):
-        jobs = _jobs()
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_sweep_survives_a_killed_worker(self, kill_first_worker_job, tmp_path, chunk):
+        pooled, n_jobs = _pooled(chunk, cache_dir=tmp_path / "cache")
+        jobs = _jobs(n_jobs)
         with SweepRunner(processes=1, cache_dir=None) as serial:
             expected = _report_keys(serial.run(jobs))
-        cache = tmp_path / "cache"
-        with SweepRunner(processes=2, cache_dir=cache, pool_chunk=pool_chunk) as pooled:
+        with pooled:
             assert _report_keys(_run_bounded(pooled, jobs)) == expected
             assert kill_first_worker_job.exists()  # a worker really died
             assert pooled.stats.executed == len(jobs)
             assert not pooled._inflight
             # The rebuilt pool keeps serving: a following run executes the
             # new job and loads the rest from the cache.
-            extra = _job("M5", "smash_sw")
+            extra = _job("M5", dim=56)
             reports = _report_keys(_run_bounded(pooled, jobs + [extra]))
             assert reports[: len(jobs)] == expected
             assert pooled.stats.executed == len(jobs) + 1
@@ -242,49 +258,12 @@ class TestWorkerDeath:
 
 
 class TestKnobSurface:
-    def test_pool_chunk_validation(self):
-        with pytest.raises(ValueError, match="pool chunk"):
-            RuntimeConfig(pool_chunk=-1)
-        with pytest.raises(ValueError, match="pool chunk"):
-            RuntimeConfig(pool_chunk=True)
-        assert RuntimeConfig(pool_chunk=0).pool_chunk == 0
-        assert RuntimeConfig(pool_chunk=8).pool_chunk == 8
-
-    def test_env_knobs(self, monkeypatch):
-        monkeypatch.setenv("SMASH_REPRO_POOL_CHUNK", "6")
-        runtime = RuntimeConfig.from_env(processes=2, cache_dir=None)
-        assert runtime.pool_chunk == 6
-        # Explicit values win over the environment.
-        runtime = RuntimeConfig.from_env(processes=2, cache_dir=None, pool_chunk=3)
-        assert runtime.pool_chunk == 3
-        monkeypatch.setenv("SMASH_REPRO_POOL_CHUNK", "nope")
-        with pytest.raises(ValueError, match="SMASH_REPRO_POOL_CHUNK"):
-            RuntimeConfig.from_env(processes=2, cache_dir=None)
-
-    def test_describe_mentions_pool_knobs_only_when_pooled(self):
-        serial = RuntimeConfig(processes=1)
-        assert "pool_chunk" not in serial.describe()
-        pooled = RuntimeConfig(processes=2, pool_chunk=5)
-        assert "pool_chunk=5" in pooled.describe()
-        auto = RuntimeConfig(processes=2)
-        assert "pool_chunk=auto" in auto.describe()
-
-    def test_cli_flags_reach_the_session(self):
-        parser = build_parser()
-        args = parser.parse_args(["run", "figure10", "--no-cache", "--pool-chunk", "5"])
-        session = _build_session(args)
-        try:
-            assert session.runtime.pool_chunk == 5
-            assert session._runner.pool_chunk == 5
-        finally:
-            session.close()
-
     def test_session_wrapping_runner_reflects_pool_knobs(self):
         from repro.api.session import Session
 
-        with SweepRunner(processes=2, cache_dir=None, pool_chunk=7) as runner:
+        with SweepRunner(processes=2, cache_dir=None) as runner:
             session = Session(runner=runner)
-            assert session.runtime.pool_chunk == 7
+            assert session.runtime.processes == 2
 
     def test_runtime_config_fields_are_pinned(self):
         """A knob cannot come back (or go) unnoticed."""
@@ -294,9 +273,7 @@ class TestKnobSurface:
             "processes",
             "cache_dir",
             "trace_chunk",
-            "replay_batch",
             "replay_profile",
-            "pool_chunk",
             "service_host",
             "service_port",
             "store_ingest",
@@ -304,7 +281,13 @@ class TestKnobSurface:
         )
 
     @pytest.mark.parametrize(
-        "flag", [["--replay-backend", "reference"], ["--no-pool-warmup"]]
+        "flag",
+        [
+            ["--replay-backend", "reference"],
+            ["--no-pool-warmup"],
+            ["--replay-batch", "4"],
+            ["--pool-chunk", "1"],
+        ],
     )
     def test_removed_cli_flags_are_argparse_errors(self, flag, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -224,6 +224,36 @@ class TestQueryEndpoint:
         session.close()
 
 
+class TestSweepRetention:
+    def test_oldest_sweeps_are_evicted_beyond_the_cap(self, service, monkeypatch):
+        base, _ = service
+        cap = 2
+        monkeypatch.setattr(server_module, "MAX_RETAINED_SWEEPS", cap)
+        schemes = ("taco_csr", "smash_hw", "mkl_csr", "smash_sw", "taco_bcsr")
+        specs = [
+            SweepSpec((JobSpec("spmv", scheme, Workload.suite("M8", 48)),))
+            for scheme in schemes[: cap + 3]
+        ]
+        ids = []
+        for spec in specs:
+            status, created = _request("POST", f"{base}/sweeps", spec.to_payload())
+            assert status == 201
+            ids.append(created["id"])
+        for sweep_id in ids[:3]:
+            assert _request("GET", f"{base}/sweeps/{sweep_id}")[0] == 404
+            assert _request("GET", f"{base}/sweeps/{sweep_id}/reports")[0] == 404
+        with Session(sim=SIM, runtime=RuntimeConfig(processes=1, cache_dir=None)) as ref:
+            for sweep_id, spec in zip(ids[3:], specs[3:]):
+                expected = [
+                    json.dumps(report.to_dict(), sort_keys=True)
+                    for report in ref.sweep(spec).reports
+                ]
+                status, body = _request("GET", f"{base}/sweeps/{sweep_id}/reports")
+                assert status == 200
+                got = [json.dumps(report, sort_keys=True) for report in body["reports"]]
+                assert got == expected
+
+
 class TestServiceErrors:
     def test_unknown_sweep_id_is_404(self, service):
         base, _ = service
