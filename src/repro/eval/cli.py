@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="arguments forwarded to repro.lint (paths, --json, --select, --list-rules)",
     )
 
-    # The result-store subcommands (query/tables/bench/cache) live in
+    # The result-store subcommands (query/tables/cache) live in
     # repro.store.cli; mounting them here keeps one `smash-repro` surface.
     from repro.store.cli import add_store_subcommands
 
@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 #: Store subcommands dispatched to repro.store.cli rather than handled here.
-_STORE_COMMANDS = ("query", "tables", "bench", "cache")
+_STORE_COMMANDS = ("query", "tables", "cache")
 
 
 def _experiment_job_keys(identifier: str, quick: bool) -> Tuple[str, ...]:

@@ -13,7 +13,8 @@ Endpoints:
 
 * ``POST /sweeps`` — submit a sweep; returns its id immediately.
 * ``GET /sweeps/<id>`` — status and job statistics of one sweep.
-* ``GET /sweeps/<id>/reports`` — block until done, return every report.
+* ``GET /sweeps/<id>/reports`` — wait until done (504 after
+  ``REPORT_WAIT_SECONDS``), return every report.
 * ``GET /healthz`` — liveness probe.
 
 Run it as ``smash-repro serve`` (see :mod:`repro.eval.cli`) or embed it

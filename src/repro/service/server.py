@@ -19,7 +19,9 @@ Sweep ids are a plain in-process counter (``1``, ``2``, …): deterministic,
 per-daemon, not persisted. The daemon is a front-end, not a database —
 restart it and in-flight ids are gone, but the report cache survives. It
 keeps only the newest :data:`MAX_RETAINED_SWEEPS` sweep records, so a
-long-lived daemon's memory stays bounded.
+long-lived daemon's memory stays bounded, and a reports request waits at
+most :data:`REPORT_WAIT_SECONDS` for its jobs, so a stuck job cannot pin a
+handler thread.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import itertools
 import json
 import threading
 import urllib.parse
-from concurrent.futures import Future
+from concurrent.futures import Future, wait
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
@@ -48,6 +50,11 @@ _SWEEP_FIELDS = frozenset({"specs", "sim"})
 
 #: Largest ``POST`` body (bytes) the daemon reads, far above any real sweep.
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Longest a ``GET /sweeps/<id>/reports`` waits for the sweep's jobs, over
+#: the whole request; past it the daemon answers 504 and the client may ask
+#: again.
+REPORT_WAIT_SECONDS = 300.0
 
 #: Most sweep records the daemon keeps; submitting one more evicts the
 #: oldest, whose id then answers 404 (its reports stay in the cache).
@@ -322,6 +329,19 @@ class _SweepRequestHandler(BaseHTTPRequestHandler):
         record = self.server.state.get(sweep_id)
         if record is None:
             self._send(404, {"error": f"unknown sweep id {sweep_id!r}"})
+            return
+        _, pending = wait(record.futures, timeout=REPORT_WAIT_SECONDS)
+        if pending:
+            self._send(
+                504,
+                {
+                    "error": (
+                        f"{len(pending)} of {len(record.futures)} jobs still running "
+                        f"after {REPORT_WAIT_SECONDS:g} s; ask again later"
+                    ),
+                    "id": sweep_id,
+                },
+            )
             return
         reports = []
         for index, future in enumerate(record.futures):

@@ -9,9 +9,8 @@ tooling on top (DESIGN.md section 16):
   its report cache.
 * :mod:`repro.store.query` — deterministic table/csv/json rendering.
 * :mod:`repro.store.tables` — paper-ready per-figure summary tables.
-* :mod:`repro.store.bench` — BENCH history and the perf-regression gate.
 * :mod:`repro.store.gc` — cache pruning by age or foreign schema.
-* :mod:`repro.store.cli` — the ``smash-repro query/tables/bench/cache``
+* :mod:`repro.store.cli` — the ``smash-repro query/tables/cache``
   subcommands (mounted by :mod:`repro.eval.cli`).
 
 Layering (RL006): strictly above ``repro.eval.runner`` and the config

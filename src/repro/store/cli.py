@@ -1,4 +1,4 @@
-"""The ``smash-repro`` store subcommands: query, tables, bench, cache.
+"""The ``smash-repro`` store subcommands: query, tables, cache.
 
 :mod:`repro.eval.cli` mounts these onto its parser via
 :func:`add_store_subcommands` and dispatches back through
@@ -27,12 +27,6 @@ from typing import Callable, Optional, Tuple
 from repro.api.config import DEFAULT_CACHE_DIR, RuntimeConfig
 from repro.eval.runner import ReportCache
 from repro.store import gc as store_gc
-from repro.store.bench import (
-    DEFAULT_TOLERANCE_CYCLES,
-    DEFAULT_TOLERANCE_SECONDS,
-    check_against_baseline,
-    ingest_file,
-)
 from repro.store.index import (
     COLUMN_NAMES,
     INDEX_SCHEMA_VERSION,
@@ -152,69 +146,6 @@ def add_store_subcommands(subparsers) -> None:
     _add_format_argument(tables_parser)
     _add_cache_arguments(tables_parser)
 
-    bench_parser = subparsers.add_parser(
-        "bench",
-        help="record BENCH_*.json runs and gate perf regressions",
-        description=(
-            "Ingest benchmark records into the store's history tables and "
-            "check new records against a recorded baseline; `check` exits "
-            "1 when a gated metric regresses beyond its tolerance."
-        ),
-    )
-    bench_sub = bench_parser.add_subparsers(dest="bench_command", required=True)
-
-    ingest_parser = bench_sub.add_parser("ingest", help="record one BENCH_*.json file")
-    ingest_parser.add_argument("file", type=pathlib.Path, help="BENCH json file to record")
-    ingest_parser.add_argument("--label", default=None, help="label for later --baseline selection")
-    _add_cache_arguments(ingest_parser)
-
-    list_parser = bench_sub.add_parser("list", help="list recorded BENCH runs")
-    _add_format_argument(list_parser)
-    _add_cache_arguments(list_parser)
-
-    check_parser = bench_sub.add_parser(
-        "check", help="gate a BENCH file against a recorded baseline (exit 1 on regression)"
-    )
-    check_parser.add_argument("file", type=pathlib.Path, help="BENCH json file to check")
-    check_parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="RUN",
-        help="baseline run: 'latest' (default), a --label, or a run id",
-    )
-    check_parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        metavar="PCT",
-        help=(
-            "allowed wall-clock growth as a percentage (e.g. 25 = +25%%); "
-            "overrides --tolerance-seconds; modelled_cycles stays exact "
-            f"(default: {100 * DEFAULT_TOLERANCE_SECONDS:.0f})"
-        ),
-    )
-    check_parser.add_argument(
-        "--tolerance-seconds",
-        type=float,
-        default=DEFAULT_TOLERANCE_SECONDS,
-        metavar="FRAC",
-        help=(
-            "allowed fractional growth of wall-clock (*seconds) metrics "
-            f"(default: {DEFAULT_TOLERANCE_SECONDS})"
-        ),
-    )
-    check_parser.add_argument(
-        "--tolerance-cycles",
-        type=float,
-        default=DEFAULT_TOLERANCE_CYCLES,
-        metavar="FRAC",
-        help=(
-            "allowed fractional growth of modelled_cycles metrics "
-            f"(default: {DEFAULT_TOLERANCE_CYCLES} — the cost model is deterministic)"
-        ),
-    )
-    _add_cache_arguments(check_parser)
-
     cache_parser = subparsers.add_parser(
         "cache",
         help="inspect and maintain the report cache and its index",
@@ -327,46 +258,6 @@ def _dispatch(
         identifiers = tuple(args.tables) if args.tables else TABLE_IDS
         sys.stdout.write(render_tables(store, identifiers, fmt=args.format, dim=args.dim))
         return 0
-
-    if args.command == "bench":
-        store = _resolve_store(args)
-        if args.bench_command == "ingest":
-            run_id = ingest_file(store, args.file, label=args.label)
-            print(f"smash-repro: recorded {args.file} as bench run {run_id}")
-            return 0
-        if args.bench_command == "list":
-            rows = store.bench_runs()
-            columns = ("id", "label", "source", "sha256", "metrics")
-            sys.stdout.write(render_rows(rows, args.format, columns=columns))
-            return 0
-        if args.bench_command == "check":
-            tolerance_seconds = args.tolerance_seconds
-            if args.tolerance is not None:
-                if args.tolerance < 0:
-                    raise StoreError(
-                        f"--tolerance must be a non-negative percentage, got {args.tolerance}"
-                    )
-                tolerance_seconds = args.tolerance / 100.0
-            result = check_against_baseline(
-                store,
-                args.file,
-                baseline=args.baseline,
-                tolerance_seconds=tolerance_seconds,
-                tolerance_cycles=args.tolerance_cycles,
-            )
-            for name in result.only_in_baseline:
-                print(f"smash-repro: note: {name} only in baseline", file=sys.stderr)
-            for name in result.only_in_current:
-                print(f"smash-repro: note: {name} only in current", file=sys.stderr)
-            for regression in result.regressions:
-                print(f"smash-repro: REGRESSION {regression.describe()}", file=sys.stderr)
-            verdict = "ok" if result.ok else f"{len(result.regressions)} regression(s)"
-            print(
-                f"smash-repro: bench check vs run {result.baseline_run}: "
-                f"{result.compared} gated metrics compared, {verdict}"
-            )
-            return 0 if result.ok else 1
-        raise StoreError(f"unknown bench command {args.bench_command!r}")
 
     if args.command == "cache":
         if args.cache_command == "stats":

@@ -24,8 +24,9 @@ reindex of a warm cache reproduces the incrementally built index exactly
 (:meth:`ResultStore.canonical_dump` equality; the sqlite *file bytes* are
 not comparable — page layout depends on insertion order).
 
-The same database carries the BENCH history tables (``bench_runs`` /
-``bench_metrics``) used by ``smash-repro bench`` (:mod:`repro.store.bench`).
+Tables other than ``reports`` and ``meta`` are ignored, so an index written
+by an older release that also carries other tables keeps serving queries;
+a ``reindex`` writes a fresh file without them.
 """
 
 from __future__ import annotations
@@ -300,16 +301,6 @@ class ResultStore:
         columns = ", ".join(f"{name} {sqltype}" for name, sqltype in REPORT_COLUMNS)
         conn.execute(f"CREATE TABLE IF NOT EXISTS reports ({columns})")
         conn.execute("CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT)")
-        conn.execute(
-            "CREATE TABLE IF NOT EXISTS bench_runs ("
-            "id INTEGER PRIMARY KEY, label TEXT, source TEXT NOT NULL, "
-            "sha256 TEXT NOT NULL, payload TEXT NOT NULL)"
-        )
-        conn.execute(
-            "CREATE TABLE IF NOT EXISTS bench_metrics ("
-            "run_id INTEGER NOT NULL, metric TEXT NOT NULL, value REAL NOT NULL, "
-            "kind TEXT NOT NULL, PRIMARY KEY (run_id, metric))"
-        )
         row = conn.execute(
             "SELECT value FROM meta WHERE key = 'index_schema'"
         ).fetchone()
@@ -493,95 +484,6 @@ class ResultStore:
         """
         rows = self._fetch(Query(sort="key"))
         return _canonical({"index_schema": INDEX_SCHEMA_VERSION, "reports": rows})
-
-    # ------------------------------------------------------------------ #
-    # BENCH history
-    # ------------------------------------------------------------------ #
-    def ingest_bench(
-        self,
-        payload: Dict,
-        metrics: Dict[str, Tuple[float, str]],
-        source: str,
-        sha256: str,
-        label: Optional[str] = None,
-    ) -> int:
-        """Record one BENCH file (flattened by :mod:`repro.store.bench`)."""
-        with self._lock, self._connect() as conn:
-            self._ensure_schema(conn)
-            row = conn.execute("SELECT COALESCE(MAX(id), 0) + 1 FROM bench_runs").fetchone()
-            run_id = int(row[0])
-            conn.execute(
-                "INSERT INTO bench_runs (id, label, source, sha256, payload) "
-                "VALUES (?, ?, ?, ?, ?)",
-                (run_id, label, source, sha256, _canonical(payload)),
-            )
-            conn.executemany(
-                "INSERT INTO bench_metrics (run_id, metric, value, kind) "
-                "VALUES (?, ?, ?, ?)",
-                [
-                    (run_id, metric, value, kind)
-                    for metric, (value, kind) in sorted(metrics.items())
-                ],
-            )
-        return run_id
-
-    def bench_runs(self) -> List[Dict[str, object]]:
-        """Every recorded BENCH run (id, label, source, sha256, metrics)."""
-        if not self.exists():
-            return []
-        with self._connect() as conn:
-            self._ensure_schema(conn)
-            runs = conn.execute(
-                "SELECT id, label, source, sha256 FROM bench_runs ORDER BY id"
-            ).fetchall()
-            counts = dict(
-                conn.execute(
-                    "SELECT run_id, COUNT(*) FROM bench_metrics GROUP BY run_id"
-                ).fetchall()
-            )
-        return [
-            {
-                "id": run_id,
-                "label": label,
-                "source": source,
-                "sha256": sha,
-                "metrics": int(counts.get(run_id, 0)),
-            }
-            for run_id, label, source, sha in runs
-        ]
-
-    def bench_metrics(self, run_id: int) -> Dict[str, Tuple[float, str]]:
-        """The flattened metrics of one recorded run, by metric name."""
-        if not self.exists():
-            return {}
-        with self._connect() as conn:
-            self._ensure_schema(conn)
-            rows = conn.execute(
-                "SELECT metric, value, kind FROM bench_metrics WHERE run_id = ?",
-                (run_id,),
-            ).fetchall()
-        return {metric: (float(value), kind) for metric, value, kind in rows}
-
-    def resolve_bench_run(self, baseline: Optional[str]) -> Optional[int]:
-        """A baseline selector — ``None``/"latest", a label, or an id."""
-        runs = self.bench_runs()
-        if not runs:
-            return None
-        if baseline is None or baseline == "latest":
-            return int(runs[-1]["id"])  # type: ignore[arg-type]
-        for run in runs:
-            if run["label"] == baseline:
-                return int(run["id"])  # type: ignore[arg-type]
-        try:
-            run_id = int(baseline)
-        except ValueError:
-            raise StoreError(
-                f"unknown bench baseline {baseline!r}; "
-                f"known labels: {sorted({r['label'] for r in runs if r['label']})}"
-            ) from None
-        if any(run["id"] == run_id for run in runs):
-            return run_id
-        raise StoreError(f"unknown bench run id {run_id}")
 
 
 class StoreIndexer:

@@ -1,8 +1,8 @@
 """Rendering of result-store rows: table, csv, and json output.
 
-The renderers are shared by ``smash-repro query``, ``smash-repro tables``
-and ``smash-repro bench list``. Determinism is part of the contract: given
-the same rows, every format produces byte-identical output (CI byte-diffs
+The renderers are shared by ``smash-repro query`` and ``smash-repro
+tables``. Determinism is part of the contract: given the same rows, every
+format produces byte-identical output (CI byte-diffs
 ``tables`` output across runs), so floats in the human-readable formats go
 through one fixed formatter and json uses canonical encoding.
 """
@@ -114,14 +114,13 @@ def render_rows(
     rows: Sequence[Dict[str, object]],
     fmt: str,
     mean_by: Optional[str] = None,
-    columns: Optional[Sequence[str]] = None,
 ) -> str:
     """Render ``rows`` in ``fmt`` (one of :data:`FORMATS`)."""
     if fmt not in FORMATS:
         raise StoreError(f"unknown format {fmt!r}; known formats: {list(FORMATS)}")
     if fmt == "json":
         return render_json(rows)
-    resolved = tuple(columns) if columns is not None else row_columns(rows, mean_by)
+    resolved = row_columns(rows, mean_by)
     if fmt == "csv":
         return render_csv(resolved, rows)
     return render_table(resolved, rows)

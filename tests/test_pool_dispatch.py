@@ -294,3 +294,9 @@ class TestKnobSurface:
             build_parser().parse_args(["run", "figure10", *flag])
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_removed_bench_subcommand_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["bench", "ingest", "x.json"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err

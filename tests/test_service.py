@@ -14,6 +14,7 @@ import statistics
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import Future
 
 import pytest
 
@@ -252,6 +253,33 @@ class TestSweepRetention:
                 assert status == 200
                 got = [json.dumps(report, sort_keys=True) for report in body["reports"]]
                 assert got == expected
+
+
+class TestReportWait:
+    def test_stuck_job_answers_504_and_keeps_the_connection(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(server_module, "REPORT_WAIT_SECONDS", 0.2)
+        session = Session(sim=SIM, runtime=RuntimeConfig(processes=1, cache_dir=tmp_path))
+        with running_server(session) as server:
+            stuck = Future()  # never resolves
+            server.state._sweeps["stuck"] = server_module.SweepRecord(
+                sweep_id="stuck", spec=_sweep_spec(), futures=(stuck,), stats={}
+            )
+            connection = http.client.HTTPConnection("127.0.0.1", server.bound_port, timeout=5)
+            try:
+                start = time.perf_counter()
+                connection.request("GET", "/sweeps/stuck/reports")
+                response = connection.getresponse()
+                body = json.loads(response.read())
+                assert response.status == 504
+                assert body["id"] == "stuck"
+                assert time.perf_counter() - start < 5
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["status"] == "ok"
+            finally:
+                connection.close()
+        session.close()
 
 
 class TestServiceErrors:

@@ -181,6 +181,39 @@ class TestTraceBuilder:
         segmented.replay_trace(None)  # no-op by contract
         assert mono.report().to_dict() == segmented.report().to_dict()
 
+    def test_chunked_replay_bounds_trace_memory(self):
+        """Chunked replay holds at most one segment of the trace at a time.
+
+        NumPy reports its buffers to ``tracemalloc``, so the traced peak
+        covers the access columns. At dim 2048 the monolithic trace spans
+        several 64 Ki-access segments; at dim 1024 it fits in one and both
+        sides read the same, so the matrix must not shrink.
+        """
+        import tracemalloc
+
+        from repro.api.config import RuntimeConfig
+        from repro.api.session import Session
+        from repro.sim.config import SimConfig
+        from repro.workloads.synthetic import uniform_random_matrix
+
+        coo = uniform_random_matrix(2048, 2048, density=0.02, seed=3)
+
+        def traced(chunk):
+            runtime = RuntimeConfig(processes=1, cache_dir=None, trace_chunk=chunk)
+            with Session(sim=SimConfig.scaled(16), runtime=runtime) as session:
+                tracemalloc.start()
+                try:
+                    result = session.run_kernel("spmv", "taco_csr", coo)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            return result.report.to_dict(), peak
+
+        monolithic, monolithic_peak = traced(0)
+        chunked, chunked_peak = traced(1 << 16)
+        assert chunked == monolithic
+        assert chunked_peak < monolithic_peak / 2, (chunked_peak, monolithic_peak)
+
     def test_trace_validates_columns(self):
         with pytest.raises(ValueError):
             AccessTrace(["a"], np.zeros(2, np.int64), np.zeros(1, np.int64), np.zeros(2, np.uint8))

@@ -1,4 +1,4 @@
-"""Tests for repro.store: index consistency, queries, tables, bench, gc.
+"""Tests for repro.store: index consistency, queries, tables, gc.
 
 The load-bearing invariants (DESIGN.md section 16):
 
@@ -6,12 +6,12 @@ The load-bearing invariants (DESIGN.md section 16):
   serves the cached payload verbatim, never a re-derivation;
 * a full ``reindex`` of a warm cache reproduces the incrementally built
   index exactly (canonical-dump equality);
-* ``bench check`` exits non-zero exactly when a gated metric regresses
-  beyond its tolerance against the recorded baseline;
+* an index written by an older release, with extra tables, keeps working;
 * every output format is byte-deterministic for a given cache.
 """
 
 import json
+import sqlite3
 import warnings
 
 import pytest
@@ -29,7 +29,6 @@ from repro.store import (
     attach_indexer,
     query_from_mapping,
 )
-from repro.store.bench import check_against_baseline, flatten, ingest_file
 from repro.store.gc import gc_cache
 from repro.store.query import render_rows
 from repro.store.tables import build_table, render_tables
@@ -78,6 +77,42 @@ class TestIngestAndReindex:
         stats = store.reindex()
         assert stats.indexed == store.report_count()
         assert store.canonical_dump() == incremental
+
+    # The schema of the BENCH history tables that older releases kept in
+    # the index (``bench_<suffix>``), with one row each.
+    LEGACY_TABLES = {
+        "runs": (
+            "id INTEGER PRIMARY KEY, label TEXT, source TEXT NOT NULL, "
+            "sha256 TEXT NOT NULL, payload TEXT NOT NULL",
+            "(1, 'base', 'BENCH_x.json', 'ab', '{}')",
+        ),
+        "metrics": (
+            "run_id INTEGER NOT NULL, metric TEXT NOT NULL, value REAL NOT NULL, "
+            "kind TEXT NOT NULL, PRIMARY KEY (run_id, metric)",
+            "(1, 'wall_seconds', 1.5, 'seconds')",
+        ),
+    }
+
+    def test_index_with_legacy_bench_tables_keeps_working(self, warm_store):
+        """An index that still holds the retired BENCH history tables serves
+        queries unchanged, and a reindex writes a fresh file without them."""
+        store, result = warm_store
+        clean = store.canonical_dump()
+        conn = sqlite3.connect(str(store.path))
+        with conn:
+            for suffix, (columns, row) in self.LEGACY_TABLES.items():
+                conn.execute(f"CREATE TABLE bench_{suffix} ({columns})")
+                conn.execute(f"INSERT INTO bench_{suffix} VALUES {row}")
+        conn.close()
+
+        assert len(store.query(Query(kernel="spmv"))) == len(result.reports)
+        assert store.canonical_dump() == clean
+        assert store.reindex().indexed == len(result.reports)
+        assert store.canonical_dump() == clean
+        conn = sqlite3.connect(str(store.path))
+        tables = {row[0] for row in conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'")}
+        conn.close()
+        assert tables == {"reports", "meta"}
 
     def test_reindex_skips_foreign_schema_and_malformed_documents(self, tmp_path):
         _run_sweep(tmp_path)
@@ -242,79 +277,6 @@ class TestTables:
             build_table(ResultStore(tmp_path), "spmv_speedup")
 
 
-class TestBenchGate:
-    BENCH = {
-        "benchmark": "spmv_smoke",
-        "total_kernel_seconds": 2.0,
-        "schemes": {"taco_csr": {"kernel_seconds": 1.0, "modelled_cycles": 400.0}},
-        "notes": "text is ignored",
-        "python": "3.12",
-    }
-
-    def _bench_file(self, tmp_path, payload, name="BENCH_test.json"):
-        path = tmp_path / name
-        path.write_text(json.dumps(payload))
-        return path
-
-    def test_flatten_classifies_metrics(self):
-        metrics = flatten(self.BENCH)
-        assert metrics["total_kernel_seconds"] == (2.0, "seconds")
-        assert metrics["schemes.taco_csr.kernel_seconds"] == (1.0, "seconds")
-        assert metrics["schemes.taco_csr.modelled_cycles"] == (400.0, "cycles")
-        assert "notes" not in metrics and "python" not in metrics
-
-    def test_check_passes_within_tolerance(self, tmp_path):
-        store = ResultStore(tmp_path)
-        baseline = self._bench_file(tmp_path, self.BENCH)
-        run_id = ingest_file(store, baseline, label="base")
-        current = dict(self.BENCH, total_kernel_seconds=2.9)  # +45% < +50%
-        result = check_against_baseline(
-            store, self._bench_file(tmp_path, current, "BENCH_new.json")
-        )
-        assert result.ok and result.baseline_run == run_id
-        assert result.compared == 3
-
-    def test_check_fails_on_seeded_wallclock_regression(self, tmp_path):
-        store = ResultStore(tmp_path)
-        ingest_file(store, self._bench_file(tmp_path, self.BENCH))
-        current = dict(self.BENCH, total_kernel_seconds=3.1)  # +55% > +50%
-        result = check_against_baseline(
-            store, self._bench_file(tmp_path, current, "BENCH_new.json")
-        )
-        assert not result.ok
-        assert [r.metric for r in result.regressions] == ["total_kernel_seconds"]
-
-    def test_check_fails_on_any_modelled_cycle_growth(self, tmp_path):
-        store = ResultStore(tmp_path)
-        ingest_file(store, self._bench_file(tmp_path, self.BENCH))
-        current = json.loads(json.dumps(self.BENCH))
-        current["schemes"]["taco_csr"]["modelled_cycles"] = 400.1
-        result = check_against_baseline(
-            store, self._bench_file(tmp_path, current, "BENCH_new.json")
-        )
-        assert [r.metric for r in result.regressions] == ["schemes.taco_csr.modelled_cycles"]
-
-    def test_baseline_selection_and_metric_skew(self, tmp_path):
-        store = ResultStore(tmp_path)
-        ingest_file(store, self._bench_file(tmp_path, self.BENCH), label="v1")
-        newer = dict(self.BENCH, total_kernel_seconds=100.0)
-        ingest_file(store, self._bench_file(tmp_path, newer, "BENCH_v2.json"), label="v2")
-        current = dict(self.BENCH)
-        del current["total_kernel_seconds"]
-        current["extra_seconds"] = 1.0
-        path = self._bench_file(tmp_path, current, "BENCH_cur.json")
-        result = check_against_baseline(store, path, baseline="v1")
-        assert result.ok
-        assert result.only_in_baseline == ("total_kernel_seconds",)
-        assert result.only_in_current == ("extra_seconds",)
-        runs = store.bench_runs()
-        assert [run["label"] for run in runs] == ["v1", "v2"]
-        with pytest.raises(StoreError, match="unknown bench baseline"):
-            check_against_baseline(store, path, baseline="nope")
-        with pytest.raises(StoreError, match="no BENCH baseline"):
-            check_against_baseline(ResultStore(tmp_path / "empty"), path)
-
-
 class TestGc:
     def test_gc_by_age_prunes_files_and_index_rows(self, tmp_path):
         _run_sweep(tmp_path)
@@ -397,39 +359,6 @@ class TestStoreCli:
         assert cli_main(argv + ["--reindex"]) == 0
         second = capsys.readouterr().out
         assert first == second
-
-    def test_bench_check_exit_codes(self, tmp_path, capsys):
-        base = tmp_path / "BENCH_base.json"
-        base.write_text(json.dumps({"total_kernel_seconds": 1.0}))
-        bad = tmp_path / "BENCH_bad.json"
-        bad.write_text(json.dumps({"total_kernel_seconds": 2.0}))
-        cache = str(tmp_path / "cache")
-        assert cli_main(["bench", "ingest", str(base), "--cache-dir", cache]) == 0
-        assert cli_main(["bench", "check", str(base), "--cache-dir", cache]) == 0
-        assert cli_main(["bench", "check", str(bad), "--cache-dir", cache]) == 1
-        capsys.readouterr()
-
-    def test_bench_check_tolerance_percent_flag(self, tmp_path, capsys):
-        """--tolerance is the percent form of the wall-clock gate."""
-        base = tmp_path / "BENCH_base.json"
-        base.write_text(json.dumps({"total_kernel_seconds": 1.0, "modelled_cycles": 10.0}))
-        slow = tmp_path / "BENCH_slow.json"
-        slow.write_text(json.dumps({"total_kernel_seconds": 1.9, "modelled_cycles": 10.0}))
-        cache = str(tmp_path / "cache")
-        assert cli_main(["bench", "ingest", str(base), "--cache-dir", cache]) == 0
-        # +90% fails the default +50% gate, passes a widened one.
-        check = ["bench", "check", str(slow), "--cache-dir", cache]
-        assert cli_main(check) == 1
-        assert cli_main(check + ["--tolerance", "100"]) == 0
-        # --tolerance wins over --tolerance-seconds when both are given.
-        assert cli_main(check + ["--tolerance", "100", "--tolerance-seconds", "0.1"]) == 0
-        # modelled_cycles stays exact regardless of the wall-clock gate.
-        drift = tmp_path / "BENCH_drift.json"
-        drift.write_text(json.dumps({"total_kernel_seconds": 1.0, "modelled_cycles": 11.0}))
-        assert cli_main(["bench", "check", str(drift), "--cache-dir", cache, "--tolerance", "500"]) == 1
-        # A negative percentage is a usage error, not a silent gate.
-        assert cli_main(check + ["--tolerance", "-5"]) == 2
-        capsys.readouterr()
 
     def test_cache_stats_and_reindex_cli(self, tmp_path, capsys):
         _run_sweep(tmp_path)
