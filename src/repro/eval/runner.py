@@ -31,7 +31,10 @@ Design invariants (see DESIGN.md sections 9 and 15):
   call :meth:`SweepRunner.submit`; an in-flight table keyed by ``job_key``
   guarantees that concurrent submissions of the same job share one future
   (the job executes once), and all scheduler state — statistics, the
-  in-flight table, cache loads and stores — is guarded by one lock.
+  in-flight table, cache loads and stores — is guarded by one lock. Each
+  resolved batch (a pool chunk, or a serial batch of misses) is handed to
+  the cache's indexer in one call, outside that lock, before its futures
+  complete.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ import json
 import os
 import pathlib
 import threading
+import warnings
 import weakref
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import wait as _futures_wait
@@ -301,11 +305,13 @@ class ReportCache:
 
     def __init__(self, root: Union[str, pathlib.Path] = DEFAULT_CACHE_DIR) -> None:
         self.root = pathlib.Path(root)
-        #: Optional post-store hook ``(key, document) -> None`` used by
-        #: :mod:`repro.store` to keep its sqlite index warm incrementally.
-        #: Kept as a plain callback so this layer never imports the store
-        #: (RL006: ``repro.store`` sits strictly above ``repro.eval.runner``).
-        self.indexer: Optional[Callable[[str, Dict], None]] = None
+        #: Optional index hook ``(batch) -> None`` used by :mod:`repro.store`
+        #: to keep its sqlite index warm incrementally. ``SweepRunner`` calls
+        #: it once per resolved batch with that batch's ``(key, document)``
+        #: pairs, as :meth:`store` returned them. Kept as a plain callback so
+        #: this layer never imports the store (RL006: ``repro.store`` sits
+        #: strictly above ``repro.eval.runner``).
+        self.indexer: Optional[Callable[[Sequence[Tuple[str, Dict]]], None]] = None
 
     def path_for(self, key: str) -> pathlib.Path:
         """Where the entry for ``key`` lives on disk."""
@@ -349,8 +355,11 @@ class ReportCache:
         report = document.get("report")
         return report if isinstance(report, dict) else None
 
-    def store(self, key: str, job: Job, report_payload: Dict) -> None:
-        """Persist the report payload for ``job`` (atomic replace)."""
+    def store(self, key: str, job: Job, report_payload: Dict) -> Dict:
+        """Persist the report payload for ``job`` (atomic replace).
+
+        Returns the document written, for the caller to index.
+        """
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         document = {
@@ -362,8 +371,7 @@ class ReportCache:
         tmp = path.with_name(f"{path.name}.{os.getpid()}.{next(_TMP_COUNTER)}.tmp")
         tmp.write_text(json.dumps(document, sort_keys=True, indent=1) + "\n", encoding="utf-8")
         os.replace(tmp, path)
-        if self.indexer is not None:
-            self.indexer(key, document)
+        return document
 
 
 # --------------------------------------------------------------------------- #
@@ -479,6 +487,8 @@ class SweepRunner:
         #: entry under the scheduler lock, so at every instant a job is
         #: either in flight or (with a cache) loadable from disk.
         self._inflight: Dict[str, "Future[Dict]"] = {}
+        #: Whether a failed cache store has already been warned about.
+        self._store_warned = False
 
     # ------------------------------------------------------------------ #
     # Executor lifecycle
@@ -574,24 +584,58 @@ class SweepRunner:
             self._inflight[key] = future
             return future, True
 
-    def _resolve(self, key: str, job: Job, future: "Future[Dict]", payload: Dict) -> None:
-        """Store ``payload``, retire the in-flight entry, wake the waiters.
+    def _resolve(self, resolved: Sequence[Tuple[str, Job, "Future[Dict]", Dict]]) -> None:
+        """Store a batch of payloads, retire them, index them, wake the waiters.
 
-        The cache store and the table removal happen under one lock
-        acquisition, so a concurrent :meth:`_lookup_or_create` observes the
+        ``resolved`` holds ``(key, job, future, payload)`` for every job of
+        one resolution: one pool chunk, or one serial batch of misses. The
+        cache stores and the table removals happen under one lock
+        acquisition, so a concurrent :meth:`_lookup_or_create` observes each
         job either still in flight or already on disk — never neither —
         which is what makes ``executed`` exactly the number of distinct
-        jobs when a cache is configured.
+        jobs when a cache is configured. The stored documents then go to the
+        cache's indexer in one call, outside the lock, and only then do the
+        futures complete, so the index holds the rows when a sweep returns.
+
+        A store that raises ``OSError`` (disk full, read-only cache) degrades
+        to an uncached success: the job still gets its payload, nothing is
+        cached or indexed for it, and the runner warns once.
         """
+        documents: List[Tuple[str, Dict]] = []
+        store_error: Optional[OSError] = None
         with self._lock:
-            if self.cache is not None:
-                self.cache.store(key, job, payload)
-            self._inflight.pop(key, None)
-        future.set_result(payload)
+            for key, job, _, payload in resolved:
+                if self.cache is not None:
+                    try:
+                        documents.append((key, self.cache.store(key, job, payload)))
+                    except OSError as error:
+                        store_error = error
+                self._inflight.pop(key, None)
+            warn = store_error is not None and not self._store_warned
+            self._store_warned |= warn
+        if warn:
+            warnings.warn(
+                f"report cache store failed ({store_error}); affected reports "
+                "are returned but not cached",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        try:
+            if documents and self.cache.indexer is not None:
+                self.cache.indexer(documents)
+        finally:
+            for _, _, future, payload in resolved:
+                future.set_result(payload)
 
     def _resolve_error(self, key: str, future: "Future[Dict]", error: BaseException) -> None:
+        """Fail ``future`` and retire its in-flight entry (no-op once done).
+
+        The entry is removed only while it is still this future: a resolved
+        job's key may already belong to a later owner.
+        """
         with self._lock:
-            self._inflight.pop(key, None)
+            if self._inflight.get(key) is future:
+                del self._inflight[key]
         if not future.done():
             future.set_exception(error)
 
@@ -602,7 +646,6 @@ class SweepRunner:
         pool chunk runs too; the execution lock keeps the module-level
         override and profile contexts from interleaving between threads.
         """
-        pending = dict((key, future) for key, _, future in owned)
         try:
             with self._exec_lock:
                 with contextlib.ExitStack() as overrides:
@@ -616,14 +659,15 @@ class SweepRunner:
                     fresh = _execute_payloads([job for _, job, _ in owned])
                     if profile is not None:
                         self.last_profile = dict(profile)
-            for (key, job, future), payload in zip(owned, fresh):
-                self._resolve(key, job, future, payload)
-                del pending[key]
+            self._resolve(
+                [(key, job, future, payload) for (key, job, future), payload in zip(owned, fresh)]
+            )
         except BaseException as error:
             # Resolve every future this call still owns before propagating:
             # a joiner blocked on an owned future must see the failure, not
-            # hang on a future nobody will complete.
-            for key, future in pending.items():
+            # hang on a future nobody will complete. Futures ``_resolve``
+            # already completed keep their results.
+            for key, _, future in owned:
                 self._resolve_error(key, future, error)
             raise
 
@@ -716,11 +760,15 @@ class SweepRunner:
                 for key, _, future in chunk:
                     self._resolve_error(key, future, error)
                 return
-            for (key, job, future), payload in zip(chunk, payloads):
-                try:
-                    self._resolve(key, job, future, payload)
-                except BaseException as store_error:  # e.g. cache store failed
-                    self._resolve_error(key, future, store_error)
+            resolved = [
+                (key, job, future, payload)
+                for (key, job, future), payload in zip(chunk, payloads)
+            ]
+            try:
+                self._resolve(resolved)
+            except Exception as resolve_error:  # resolve, never hang joiners
+                for key, _, future in chunk:
+                    self._resolve_error(key, future, resolve_error)
 
         return done
 

@@ -12,8 +12,11 @@ bit-consistent with :meth:`~repro.sim.instrumentation.CostReport.to_dict`.
 Two ingestion paths, one invariant (DESIGN.md section 16):
 
 * **Incremental** — :func:`attach_indexer` hangs a :class:`StoreIndexer` on
-  a :class:`~repro.eval.runner.ReportCache`; every ``store()`` upserts the
-  new document's row, so the index stays warm while sweeps run.
+  a :class:`~repro.eval.runner.ReportCache`. The sweep runner calls it once
+  per resolved batch (one pool chunk, or one serial batch of misses) with
+  the batch's ``(key, document)`` pairs, and :meth:`ResultStore.ingest`
+  upserts their rows in one transaction, so the index stays warm while
+  sweeps run.
 * **Full** — :meth:`ResultStore.reindex` rebuilds the database from the
   cache tree alone (into a temp file, installed with ``os.replace``), for
   cold caches, foreign caches written by other hosts, or recovery.
@@ -281,6 +284,10 @@ class ResultStore:
             pathlib.Path(index_path) if index_path is not None else self.root / INDEX_FILENAME
         )
         self._lock = threading.Lock()
+        #: Whether :meth:`ingest` has ensured the schema on this object. A
+        #: batch that finds the ``reports`` table missing (the file was
+        #: deleted or replaced since) clears it and retries once.
+        self._schema_ready = False
 
     # ------------------------------------------------------------------ #
     # Schema plumbing
@@ -327,24 +334,49 @@ class ResultStore:
     # ------------------------------------------------------------------ #
     # Ingestion
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _upsert(conn: sqlite3.Connection, row: Dict[str, object]) -> None:
-        names = ", ".join(COLUMN_NAMES)
-        holes = ", ".join("?" for _ in COLUMN_NAMES)
-        conn.execute(
-            f"INSERT OR REPLACE INTO reports ({names}) VALUES ({holes})",
-            tuple(row[name] for name in COLUMN_NAMES),
+    _UPSERT_SQL = (
+        f"INSERT OR REPLACE INTO reports ({', '.join(COLUMN_NAMES)}) "
+        f"VALUES ({', '.join('?' for _ in COLUMN_NAMES)})"
+    )
+
+    @classmethod
+    def _upsert(cls, conn: sqlite3.Connection, rows: Sequence[Dict[str, object]]) -> None:
+        conn.executemany(
+            cls._UPSERT_SQL, [tuple(row[name] for name in COLUMN_NAMES) for row in rows]
         )
 
-    def ingest(self, key: str, document: object) -> bool:
-        """Index one cache document (upsert); False if it is unindexable."""
-        row = document_row(key, document)
-        if row is None:
-            return False
-        with self._lock, self._connect() as conn:
-            self._ensure_schema(conn)
-            self._upsert(conn, row)
-        return True
+    def ingest(self, batch: Sequence[Tuple[str, object]]) -> int:
+        """Index a batch of ``(key, document)`` pairs; returns rows written.
+
+        Unindexable documents are skipped and not counted. The batch is
+        upserted over one short-lived connection in one commit. The schema
+        is ensured on the first batch only; a later batch that finds the
+        ``reports`` table gone (the index file was deleted or replaced)
+        ensures it again and retries once.
+        """
+        rows = [
+            row
+            for row in (document_row(key, document) for key, document in batch)
+            if row is not None
+        ]
+        if not rows:
+            return 0
+        with self._lock:
+            try:
+                self._write_rows(rows)
+            except sqlite3.OperationalError as error:
+                if "no such table" not in str(error):
+                    raise
+                self._schema_ready = False
+                self._write_rows(rows)
+        return len(rows)
+
+    def _write_rows(self, rows: Sequence[Dict[str, object]]) -> None:
+        with self._connect() as conn:
+            if not self._schema_ready:
+                self._ensure_schema(conn)
+            self._upsert(conn, rows)
+        self._schema_ready = True
 
     def reindex(self) -> ReindexStats:
         """Rebuild the whole index from the cache tree (atomic install).
@@ -378,7 +410,7 @@ class ResultStore:
                             else:
                                 malformed += 1
                             continue
-                        self._upsert(conn, row)
+                        self._upsert(conn, [row])
                         indexed += 1
                 os.replace(tmp, self.path)
             finally:
@@ -489,29 +521,36 @@ class ResultStore:
 class StoreIndexer:
     """The incremental ingest hook hung on ``ReportCache.indexer``.
 
-    The index is derived, rebuildable data — an ingest failure must never
-    fail the sweep that produced the (successfully cached) report. The
-    first error disables the hook for the rest of the process with one
-    ``RuntimeWarning``; a later ``reindex`` recovers the missed rows.
+    The sweep runner calls it once per resolved batch with the batch's
+    ``(key, document)`` pairs, and it forwards the whole batch to
+    :meth:`ResultStore.ingest`. The index is derived, rebuildable data — an
+    ingest failure must never fail the sweep that produced the
+    (successfully cached) reports. The first error disables the hook for
+    the rest of the process with one ``RuntimeWarning``; a later
+    ``reindex`` recovers the missed rows.
     """
 
     def __init__(self, store: ResultStore) -> None:
         self.store = store
         self._failed = False
+        # Pool callbacks can resolve batches on two threads at once; the lock
+        # makes "the first error disables the hook" exact.
+        self._lock = threading.Lock()
 
-    def __call__(self, key: str, document: Dict) -> None:
-        if self._failed:
-            return
-        try:
-            self.store.ingest(key, document)
-        except Exception as error:  # noqa: BLE001 - degraded, not fatal
-            self._failed = True
-            warnings.warn(
-                f"result-store ingest disabled after an index error: {error}; "
-                "rebuild later with `smash-repro cache reindex`",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+    def __call__(self, batch: Sequence[Tuple[str, Dict]]) -> None:
+        with self._lock:
+            if self._failed or not batch:
+                return
+            try:
+                self.store.ingest(batch)
+            except Exception as error:  # noqa: BLE001 - degraded, not fatal
+                self._failed = True
+                warnings.warn(
+                    f"result-store ingest disabled after an index error: {error}; "
+                    "rebuild later with `smash-repro cache reindex`",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
 
 
 def attach_indexer(
@@ -524,5 +563,6 @@ def attach_indexer(
     return indexer
 
 
-#: Callable type of the ReportCache hook, for documentation purposes.
-IndexerHook = Callable[[str, Dict], None]
+#: Callable type of the ReportCache hook, for documentation purposes: one
+#: call per resolved batch of ``(key, document)`` pairs.
+IndexerHook = Callable[[Sequence[Tuple[str, Dict]]], None]

@@ -132,8 +132,8 @@ class TestIngestAndReindex:
 
     def test_incremental_ingest_of_foreign_document_is_refused(self, tmp_path):
         store = ResultStore(tmp_path)
-        assert store.ingest("ab" * 32, {"schema": 999}) is False
-        assert store.ingest("cd" * 32, "not a document") is False
+        assert store.ingest([("ab" * 32, {"schema": 999})]) == 0
+        assert store.ingest([("cd" * 32, "not a document")]) == 0
 
     def test_index_file_is_invisible_to_the_cache_tree(self, warm_store):
         store, result = warm_store
