@@ -66,10 +66,6 @@ DEFAULT_GRAPH_VERTICES = 192
 #: workloads (see ``SimConfig.scaled``).
 DEFAULT_CACHE_SCALE = 16
 
-#: Backwards-compatible alias of :func:`repro.api.specs.suite_nnz`.
-_suite_nnz = suite_nnz
-
-
 def _sim_config(cache_scale: Optional[int] = DEFAULT_CACHE_SCALE) -> SimConfig:
     return SimConfig.default() if not cache_scale or cache_scale <= 1 else SimConfig.scaled(cache_scale)
 

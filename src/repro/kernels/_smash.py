@@ -1,28 +1,34 @@
 """Vectorized trace planning for the SMASH kernels.
 
-The batched SMASH kernels replicate, array-at-a-time, the exact access
+The batched SMASH SpMV kernels replicate, array-at-a-time, the exact access
 sequences of the per-element reference implementations in
-:mod:`repro.kernels.legacy`:
+:mod:`repro.kernels.legacy`. Each trace is the block bodies in Bitmap-0
+order with the bitmap-scan accesses spliced in between them, and every part
+is planned with array operations:
 
-* :func:`block_bodies` assembles the per-block multiply-accumulate bodies of
-  SpMV (interleaved NZA and ``x`` loads plus the ``y`` store) for *all*
-  non-zero blocks in one shot;
-* :func:`software_scan_plan` reproduces the
-  :class:`~repro.core.indexing.SoftwareIndexer` traversal — which bitmap
-  words are loaded, in which order, and which blocks are found between two
-  word loads;
-* :func:`hardware_scan_plan` reproduces the BMU window walk — the initial
+* :func:`block_bodies` plans the multiply-accumulate bodies of *all*
+  non-zero blocks (interleaved NZA and ``x`` loads plus the ``y`` store):
+  bit positions, element counts and access-offset prefix sums;
+* :func:`software_scan_plan` plans the
+  :class:`~repro.core.indexing.SoftwareIndexer` traversal: every bitmap word
+  load, in traversal order, with the block it precedes;
+* :func:`hardware_scan_plan` plans the BMU window walk: the initial
   ``RDBMAP`` transfers and every buffer reload the ``PBMAP`` scan triggers,
-  positioned between the blocks they precede.
+  with the block each reload precedes;
+* :meth:`BlockBodies.splice` appends the bodies with the scan accesses
+  inserted before their blocks, one append per budget-sized window instead
+  of one per scan event;
+* :func:`row_block_table` lists each row's blocks for the SMASH SpMM merge.
 
-All three work on the packed bitmap words directly (via
-:meth:`~repro.core.bitmap.Bitmap.set_bit_array` and ``searchsorted``), so the
-planning cost is O(set bits), not O(matrix elements).
+Planning works on the packed bitmap words directly (via
+:meth:`~repro.core.bitmap.Bitmap.set_bit_array` and ``searchsorted``), so its
+cost is O(set bits + bitmap words), not O(matrix elements).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import math
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -41,22 +47,17 @@ WORD_BYTES = 8
 
 
 class BlockBodies:
-    """Lazily assembled SpMV block bodies for every non-zero block.
+    """The SpMV block bodies of every non-zero block, assembled on demand.
 
     Each block's body is the access pattern ``[nza load, x load] * valid +
-    [y store]``. When the whole plan fits in the builder's chunk budget, the
-    interleaved columns are assembled once up front and :meth:`emit_range`
-    just slices them (the fast path for every cache-scale workload).
-    Beyond the budget only the O(blocks) plan (bit positions, per-block
-    element counts and access-offset prefix sums) is materialized; the
-    columns of a block range are scattered on demand, in sub-ranges sized
-    to the budget, so peak trace memory stays bounded even when a scan plan
-    emits the whole matrix in one range.
+    [y store]``. Only the O(blocks) plan is held: bit positions, per-block
+    element counts and access-offset prefix sums. :meth:`splice` scatters
+    the columns of one budget-sized window at a time, so peak trace memory
+    stays bounded at any matrix size; when the whole trace fits the budget
+    (every cache-scale workload) that is a single window.
     """
 
-    __slots__ = (
-        "bits", "valid", "starts", "block", "cols", "id_nza", "id_x", "id_y", "_columns"
-    )
+    __slots__ = ("bits", "valid", "starts", "block", "cols", "id_nza", "id_x", "id_y")
 
     def __init__(self, bits, valid, starts, block, cols, id_nza, id_x, id_y) -> None:
         self.bits = bits
@@ -67,7 +68,6 @@ class BlockBodies:
         self.id_nza = id_nza
         self.id_x = id_x
         self.id_y = id_y
-        self._columns = None
 
     @property
     def n_blocks(self) -> int:
@@ -84,38 +84,46 @@ class BlockBodies:
         n = self.n_blocks
         return int(self.starts[n - 1] + 2 * self.valid[n - 1] + 1) if n else 0
 
-    def emit_range(self, builder: TraceBuilder, lo: int, hi: int) -> None:
-        """Append the bodies of blocks ``[lo, hi)`` to ``builder``."""
-        lo, hi = int(lo), int(hi)
-        if hi <= lo:
-            return
-        if self._columns is not None:
-            ids, offsets, kinds = self._columns
-            a = int(self.starts[lo])
-            b = int(self.starts[hi - 1] + 2 * self.valid[hi - 1] + 1)
-            builder.add_columns(ids[a:b], offsets[a:b], kinds[a:b])
-            return
-        budget = builder.chunk_accesses
-        cursor = lo
-        while cursor < hi:
-            if budget:
-                target = int(self.starts[cursor]) + budget
-                sub = int(np.searchsorted(self.starts, target, side="left"))
-                sub = max(cursor + 1, min(sub, hi))
-            else:
-                sub = hi
-            builder.add_columns(*self._assemble(cursor, sub))
-            cursor = sub
+    def splice(self, builder: TraceBuilder, before, ids, offsets, kinds) -> None:
+        """Append every block body to ``builder`` with event accesses spliced in.
 
-    def materialize_columns(self, budget: Optional[int]) -> None:
-        """Assemble all columns eagerly when they fit in ``budget`` accesses.
+        Event access ``k`` (``ids[k]``, ``offsets[k]``, ``kinds[k]``) goes
+        right before the body of block ``before[k]``, or after the last body
+        when ``before[k] == n_blocks``. ``before`` must be non-decreasing;
+        events before the same block keep their order.
 
-        Eager assembly restores the slice-only ``emit_range`` fast path used
-        by every plan that fits the chunk budget; oversized plans stay lazy
-        so their peak memory remains bounded.
+        The spliced trace is appended in windows of the builder's chunk
+        budget (one window when the builder is monolithic), each assembled
+        from only the blocks it overlaps. The first window tops up the
+        builder's partly filled segment, so no append exceeds the budget and
+        each later window starts a fresh segment.
         """
-        if self.n_blocks and (budget is None or self.total_len <= budget):
-            self._columns = self._assemble(0, self.n_blocks)
+        before = np.asarray(before, dtype=np.int64)
+        total = self.total_len + before.size
+        # Spliced position of event k: the start of its block's body, moved
+        # past the k events spliced in ahead of it.
+        body_start = np.append(self.starts, self.total_len)
+        event_pos = body_start[before] + np.arange(before.size, dtype=np.int64)
+        budget = builder.chunk_accesses
+        lo = 0
+        while lo < total:
+            hi = total if budget is None else min(total, lo + budget - builder.n_accesses)
+            k0, k1 = (int(k) for k in np.searchsorted(event_pos, (lo, hi)))
+            n = hi - lo
+            window = (np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n, np.uint8))
+            is_body = np.ones(n, dtype=bool)
+            is_body[event_pos[k0:k1] - lo] = False
+            b0, b1 = lo - k0, hi - k1  # body accesses in the window
+            if b1 > b0:
+                first = int(np.searchsorted(self.starts, b0, side="right")) - 1
+                last = int(np.searchsorted(self.starts, b1, side="left"))
+                cut = slice(b0 - int(self.starts[first]), b1 - int(self.starts[first]))
+                for column, body in zip(window, self._assemble(first, last)):
+                    column[is_body] = body[cut]
+            for column, event in zip(window, (ids, offsets, kinds)):
+                column[~is_body] = event[k0:k1]
+            builder.add_columns(*window)
+            lo = hi
 
     def _assemble(self, lo: int, hi: int):
         """Scatter the interleaved columns of blocks ``[lo, hi)``."""
@@ -153,19 +161,14 @@ def block_bodies(
     x_name: str = "x",
     y_name: str = "y",
 ) -> BlockBodies:
-    """Plan the SpMV bodies of every non-zero block.
-
-    Columns are assembled eagerly when the whole plan fits the builder's
-    chunk budget (slice-only emission, the common case) and lazily per
-    emitted range otherwise (bounded memory at any scale).
-    """
+    """Plan the SpMV bodies of every non-zero block (no columns yet)."""
     bits = matrix.hierarchy.base.set_bit_array()
     block = matrix.block_size
     rows, cols = matrix.shape
     total = rows * cols
     valid = np.minimum(block, total - bits * block)
     starts = exclusive_cumsum(2 * valid + 1)
-    bodies = BlockBodies(
+    return BlockBodies(
         bits,
         valid,
         starts,
@@ -175,8 +178,6 @@ def block_bodies(
         builder.structure_id(x_name),
         builder.structure_id(y_name),
     )
-    bodies.materialize_columns(builder.chunk_accesses)
-    return bodies
 
 
 def accumulate_spmv(matrix: SMASHMatrix, bodies: BlockBodies, x: np.ndarray) -> np.ndarray:
@@ -200,54 +201,60 @@ def accumulate_spmv(matrix: SMASHMatrix, bodies: BlockBodies, x: np.ndarray) -> 
 # --------------------------------------------------------------------------- #
 def software_scan_plan(
     matrix: SMASHMatrix,
-) -> Tuple[List[Tuple[int, int, int, int]], int]:
-    """Plan the software bitmap scan as word-load events plus block ranges.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Plan the software bitmap scan as word loads placed between blocks.
 
-    Returns ``(segments, n_top_scans)`` where each segment
-    ``(level, word_index, blk_lo, blk_hi)`` means "load word ``word_index``
-    of bitmap ``level``, then emit blocks ``[blk_lo, blk_hi)``", in traversal
-    order. ``n_top_scans`` is the number of top-level set bits found (each
-    costs one bit-scan charge in the software cost model).
+    Returns ``(levels, words, before_block, n_top_scans)``. In traversal
+    order, load ``i`` reads word ``words[i]`` of bitmap ``levels[i]`` right
+    before the body of block ``before_block[i]`` (``n_blocks`` means after
+    the last body). ``n_top_scans`` is the number of top-level set bits
+    found; each costs one bit-scan charge in the software cost model.
+
+    A one-level hierarchy loads every Bitmap-0 word in turn. A deeper one
+    loads every top-level word, each followed by the Bitmap-0 words that
+    overlap the span ``[s * span, (s + 1) * span)`` of each of its set bits
+    ``s``. Top-level word ``tw`` goes before the first block at or after
+    Bitmap-0 bit ``tw * 64 * span``; Bitmap-0 word ``w`` under top bit ``s``
+    before the first block at or after bit ``max(s * span, w * 64)``.
+
+    Those positions make the blocks between consecutive loads contiguous
+    ranges that cover every block only because of a hierarchy invariant:
+    every set Bitmap-0 bit lies under a set top-level bit. No block sits in
+    a span the scan skips, so the blocks after a load are exactly the set
+    bits below the next load's threshold.
     """
     hierarchy = matrix.hierarchy
     base = hierarchy.base
     bits = base.set_bit_array()
-    words = base.words
-    n_words = base.n_words
-    levels = hierarchy.levels
-    segments: List[Tuple[int, int, int, int]] = []
+    if hierarchy.levels == 1:
+        words = np.arange(base.n_words, dtype=np.int64)
+        return np.zeros_like(words), words, np.searchsorted(bits, words * 64), 0
 
-    if levels == 1:
-        bounds = np.searchsorted(bits, np.arange(n_words + 1, dtype=np.int64) * 64)
-        for w in range(n_words):
-            segments.append((0, w, int(bounds[w]), int(bounds[w + 1])))
-        return segments, 0
-
-    top_level = levels - 1
+    top_level = hierarchy.levels - 1
     top = hierarchy.bitmap(top_level)
-    span = 1
-    for level in range(1, levels):
-        span *= hierarchy.config.ratios[level]
+    span = math.prod(hierarchy.config.ratios[1:])
     top_bits = top.set_bit_array()
-    n_top_words = top.n_words
-    top_word_bounds = np.searchsorted(top_bits, np.arange(n_top_words + 1, dtype=np.int64) * 64)
-    for tw in range(max(1, n_top_words)):
-        if n_top_words:
-            segments.append((top_level, tw, 0, 0))
-        if n_top_words == 0 or int(words.size) == 0:
-            continue
-        if int(top.words[tw]) == 0:
-            continue
-        for s in top_bits[top_word_bounds[tw]:top_word_bounds[tw + 1]].tolist():
-            base_start = s * span
-            base_end = min(base_start + span, base.n_bits)
-            start_word = base_start // 64
-            end_word = min(-(-base_end // 64) if base_end else 0, n_words)
-            for w in range(start_word, end_word):
-                lo = int(np.searchsorted(bits, max(base_start, w * 64)))
-                hi = int(np.searchsorted(bits, min(base_end, (w + 1) * 64)))
-                segments.append((0, w, lo, hi))
-    return segments, int(top_bits.size)
+    span_start = top_bits * span
+    span_end = np.minimum(span_start + span, base.n_bits)
+    first_word = span_start // 64
+    n_under = np.maximum(np.minimum(-(-span_end // 64), base.n_words) - first_word, 0)
+    base_words = np.repeat(first_word, n_under) + grouped_arange(n_under)
+
+    # Interleave: each top-level word's load, then the Bitmap-0 words under
+    # its set bits in bit order.
+    top_words = np.arange(top.n_words, dtype=np.int64)
+    under_top_word = np.bincount(np.repeat(top_bits // 64, n_under), minlength=top.n_words)
+    is_top = np.zeros(top_words.size + base_words.size, dtype=bool)
+    is_top[top_words + exclusive_cumsum(under_top_word)] = True
+    is_base = ~is_top
+    levels = np.where(is_top, top_level, 0)
+    words = np.empty(is_top.size, dtype=np.int64)
+    words[is_top] = top_words
+    words[is_base] = base_words
+    thresholds = np.empty(is_top.size, dtype=np.int64)
+    thresholds[is_top] = top_words * 64 * span
+    thresholds[is_base] = np.maximum(np.repeat(span_start, n_under), base_words * 64)
+    return levels, words, np.searchsorted(bits, thresholds), int(top_bits.size)
 
 
 # --------------------------------------------------------------------------- #
@@ -257,17 +264,19 @@ def hardware_scan_plan(
     matrix: SMASHMatrix,
     buffer_bits: int,
     n_buffers: int,
-) -> Tuple[List[int], List[Tuple[int, int]], int]:
+) -> Tuple[List[int], np.ndarray, np.ndarray, int]:
     """Plan the BMU's Bitmap-0 window walk.
 
-    Returns ``(setup_bytes, reloads, n_blocks)``:
+    Returns ``(setup_bytes, reload_before, reload_bytes, n_blocks)``:
 
     * ``setup_bytes[level]`` — bytes transferred by the initial ``RDBMAP`` of
       each buffered level (levels ``0..min(levels, n_buffers))``);
-    * ``reloads`` — ``(block_ordinal, n_bytes)`` for every buffer reload the
-      scan triggers, meaning the transfer happens after ``block_ordinal``
-      blocks have been emitted;
+    * ``reload_before[i]``, ``reload_bytes[i]`` — buffer reload ``i`` moves
+      ``reload_bytes[i]`` bytes right before the body of block
+      ``reload_before[i]``, i.e. after that many blocks have been emitted;
     * ``n_blocks`` — total non-zero blocks the scan emits.
+
+    The walk takes one scalar step per BMU window, not per block.
     """
     hierarchy = matrix.hierarchy
     base = hierarchy.base
@@ -285,13 +294,9 @@ def hardware_scan_plan(
     # Upper-level set bits for the all-zero-span skip (full bitmaps: the BMU
     # keeps the complete source attached, only Bitmap-0 is windowed).
     upper: Dict[int, Tuple[np.ndarray, int, int]] = {}
-    for level in range(1, n_buffers):
-        if level >= buffered:
-            continue
-        span = 1
-        for lower in range(1, level + 1):
-            span *= hierarchy.config.ratios[lower]
+    for level in range(1, buffered):
         bitmap = hierarchy.bitmap(level)
+        span = math.prod(hierarchy.config.ratios[1 : level + 1])
         upper[level] = (bitmap.set_bit_array(), span, bitmap.n_bits)
 
     def skip(from_bit: int) -> int:
@@ -309,31 +314,39 @@ def hardware_scan_plan(
                 best = candidate
         return best
 
-    reloads: List[Tuple[int, int]] = []
+    reload_before: List[int] = []
+    reload_bytes: List[int] = []
     base_bit = 0
     valid = max(0, min(buffer_bits, n_bits))
-    cursor = 0
-    emitted = 0
     while True:
         window_end = base_bit + valid
-        emitted = int(np.searchsorted(bits, min(window_end, n_bits)))
-        cursor = window_end
-        if cursor >= n_bits:
+        if window_end >= n_bits:
             break
-        next_start = skip(cursor)
+        next_start = skip(window_end)
         if next_start >= n_bits:
             break
         aligned = (next_start // 64) * 64
         valid = max(0, min(buffer_bits, n_bits - aligned))
-        n_bytes = -(-valid // 8) if valid else buffer_bits // 8
-        reloads.append((emitted, n_bytes))
+        reload_before.append(int(np.searchsorted(bits, window_end)))
+        reload_bytes.append(-(-valid // 8) if valid else buffer_bits // 8)
         base_bit = aligned
-    return setup_bytes, reloads, int(bits.size)
+    return (
+        setup_bytes,
+        np.array(reload_before, dtype=np.int64),
+        np.array(reload_bytes, dtype=np.int64),
+        int(bits.size),
+    )
 
 
-def bitmap_transfer_offsets(n_bytes: int) -> np.ndarray:
-    """Byte offsets of the cache-line transfers for one RDBMAP/reload."""
-    return np.arange(0, max(n_bytes, 1), 64, dtype=np.int64)
+def bitmap_transfers(n_bytes) -> Tuple[np.ndarray, np.ndarray]:
+    """Cache-line transfers of RDBMAPs/reloads moving ``n_bytes[i]`` bytes each.
+
+    Returns ``(lines, offsets)``: transfer ``i`` moves ``lines[i]`` lines (at
+    least one), and ``offsets`` holds every transfer's line byte offsets,
+    concatenated in transfer order.
+    """
+    lines = (np.maximum(np.asarray(n_bytes, dtype=np.int64), 1) + 63) // 64
+    return lines, grouped_arange(lines) * 64
 
 
 # --------------------------------------------------------------------------- #

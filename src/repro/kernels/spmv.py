@@ -45,8 +45,9 @@ from repro.kernels._costs import (
     register_vector,
 )
 from repro.kernels._smash import (
+    WORD_BYTES,
     accumulate_spmv,
-    bitmap_transfer_offsets,
+    bitmap_transfers,
     block_bodies,
     hardware_scan_plan,
     software_scan_plan,
@@ -332,26 +333,36 @@ def spmv_smash_software_instrumented(
 ) -> KernelOutput:
     """Software-only SMASH SpMV (Section 4.4): bitmap scanning on the CPU.
 
-    The software scan's word loads are planned from the packed bitmap words
-    (:func:`~repro.kernels._smash.software_scan_plan`) and spliced between
-    the block bodies in traversal order.
+    The scan's bitmap word loads are planned as arrays, each with the block
+    it precedes (:func:`~repro.kernels._smash.software_scan_plan`), and
+    :meth:`~repro.kernels._smash.BlockBodies.splice` appends the block
+    bodies with those loads inserted, one append per budget-sized window.
     """
     x = _check_vector(x, matrix.cols)
     instr = KernelInstrumentation("spmv", "smash_sw", config)
     register_smash(instr, "A", matrix)
     register_vector(instr, "x", matrix.cols)
     register_vector(instr, "y", matrix.rows)
-    for level in range(matrix.hierarchy.levels):
+    levels = matrix.hierarchy.levels
+    for level in range(levels):
         instr.register_array(f"bitmap{level}", matrix.hierarchy.bitmap(level).storage_bytes())
 
     builder = instr.trace_builder()
     bodies = block_bodies(matrix, builder)
-    segments, n_top_scans = software_scan_plan(matrix)
-    word_loads = 0
-    for level, word, lo, hi in segments:
-        builder.add_one(f"bitmap{level}", word * 8, KIND_STREAM)
-        word_loads += 1
-        bodies.emit_range(builder, lo, hi)
+    load_levels, load_words, before, n_top_scans = software_scan_plan(matrix)
+    # Structure ids in first-load order: the scan starts on the top level.
+    level_ids = np.zeros(levels, dtype=np.int64)
+    for level in (levels - 1, 0):
+        if np.any(load_levels == level):
+            level_ids[level] = builder.structure_id(f"bitmap{level}")
+    word_loads = int(load_levels.size)
+    bodies.splice(
+        builder,
+        before,
+        level_ids[load_levels],
+        load_words * WORD_BYTES,
+        np.full(word_loads, KIND_STREAM, dtype=np.uint8),
+    )
     instr.replay_trace(builder.build())
 
     costs = SMASHCosts()
@@ -386,9 +397,11 @@ def spmv_smash_hardware_instrumented(
 
     Indexing is performed by the BMU through the SMASH ISA: each non-zero
     block costs one ``PBMAP`` and one ``RDIND``; the bitmap traffic is the
-    BMU's buffer refills rather than per-element loads. The refill schedule
-    is planned with :func:`~repro.kernels._smash.hardware_scan_plan` and the
-    transfers are spliced between the block bodies they precede.
+    BMU's buffer refills rather than per-element loads. The window walk
+    (:func:`~repro.kernels._smash.hardware_scan_plan`) gives the initial
+    ``RDBMAP`` transfers, which precede the first block, and every reload
+    with the block it precedes; :meth:`~repro.kernels._smash.BlockBodies.splice`
+    appends the block bodies with those transfers inserted.
     """
     x = _check_vector(x, matrix.cols)
     instr = KernelInstrumentation("spmv", "smash_hw", config)
@@ -399,20 +412,30 @@ def spmv_smash_hardware_instrumented(
     bmu = bmu or BitmapManagementUnit()
     group = bmu.group(0)
     buffer_bits = group.buffers[0].capacity_bits if group.buffers else 0
-    setup_bytes, reloads, n_blocks = hardware_scan_plan(matrix, buffer_bits, len(group.buffers))
+    setup_bytes, reload_before, reload_bytes, n_blocks = hardware_scan_plan(
+        matrix, buffer_bits, len(group.buffers)
+    )
 
     builder = instr.trace_builder()
+    buffer_ids = []
     for level, n_bytes in enumerate(setup_bytes):
         name = f"bmu_bitmap_g0b{level}"
         instr.register_array(name, max(n_bytes, 64))
-        builder.add(name, bitmap_transfer_offsets(n_bytes), KIND_STREAM)
+        buffer_ids.append(builder.structure_id(name))
     bodies = block_bodies(matrix, builder)
-    cursor = 0
-    for block_ordinal, n_bytes in reloads:
-        bodies.emit_range(builder, cursor, block_ordinal)
-        builder.add("bmu_bitmap_g0b0", bitmap_transfer_offsets(n_bytes), KIND_STREAM)
-        cursor = block_ordinal
-    bodies.emit_range(builder, cursor, n_blocks)
+    # The initial RDBMAPs precede the first block; each reload refills the
+    # Bitmap-0 buffer (level 0) right before the block it precedes.
+    n_reloads = int(reload_before.size)
+    transfer_before = np.concatenate([np.zeros(len(setup_bytes), dtype=np.int64), reload_before])
+    transfer_ids = buffer_ids + [buffer_ids[0]] * n_reloads
+    lines, offsets = bitmap_transfers(np.concatenate([setup_bytes, reload_bytes]))
+    bodies.splice(
+        builder,
+        np.repeat(transfer_before, lines),
+        np.repeat(transfer_ids, lines),
+        offsets,
+        np.full(offsets.size, KIND_STREAM, dtype=np.uint8),
+    )
     instr.replay_trace(builder.build())
 
     costs = SMASHCosts()
@@ -436,11 +459,11 @@ def spmv_smash_hardware_instrumented(
     # Keep the (possibly caller-provided) BMU's observable counters in sync
     # with what the modelled scan did.
     group.pbmap_count = n_blocks + 1
-    group.buffer_reloads = len(reloads)
+    group.buffer_reloads = n_reloads
     group.blocks_found = n_blocks
 
     y = accumulate_spmv(matrix, bodies, x)
     report = instr.report()
     report.metadata["pbmap_count"] = float(n_blocks + 1)
-    report.metadata["bmu_buffer_reloads"] = float(len(reloads))
+    report.metadata["bmu_buffer_reloads"] = float(n_reloads)
     return y, report

@@ -187,7 +187,9 @@ class TestTraceBuilder:
         NumPy reports its buffers to ``tracemalloc``, so the traced peak
         covers the access columns. At dim 2048 the monolithic trace spans
         several 64 Ki-access segments; at dim 1024 it fits in one and both
-        sides read the same, so the matrix must not shrink.
+        sides read the same, so the matrix must not shrink. The SMASH
+        kernels splice their scan accesses into windows of the budget, so
+        they must stay bounded too.
         """
         import tracemalloc
 
@@ -198,21 +200,22 @@ class TestTraceBuilder:
 
         coo = uniform_random_matrix(2048, 2048, density=0.02, seed=3)
 
-        def traced(chunk):
+        def traced(scheme, chunk):
             runtime = RuntimeConfig(processes=1, cache_dir=None, trace_chunk=chunk)
             with Session(sim=SimConfig.scaled(16), runtime=runtime) as session:
                 tracemalloc.start()
                 try:
-                    result = session.run_kernel("spmv", "taco_csr", coo)
+                    result = session.run_kernel("spmv", scheme, coo)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
             return result.report.to_dict(), peak
 
-        monolithic, monolithic_peak = traced(0)
-        chunked, chunked_peak = traced(1 << 16)
-        assert chunked == monolithic
-        assert chunked_peak < monolithic_peak / 2, (chunked_peak, monolithic_peak)
+        for scheme in ("taco_csr", "smash_sw", "smash_hw"):
+            monolithic, monolithic_peak = traced(scheme, 0)
+            chunked, chunked_peak = traced(scheme, 1 << 16)
+            assert chunked == monolithic, scheme
+            assert chunked_peak < monolithic_peak / 2, (scheme, chunked_peak, monolithic_peak)
 
     def test_trace_validates_columns(self):
         with pytest.raises(ValueError):

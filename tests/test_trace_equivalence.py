@@ -426,31 +426,37 @@ class TestSpMMEdgeCases:
         assert report.instructions.get(InstructionClass.STORE) == structural - len(CANCELLED)
 
 
+def appended_sizes(monkeypatch, budget, fn, *args):
+    """Run ``fn(*args, SIM)`` at chunk ``budget``; return its append sizes and output.
+
+    Spies on :meth:`TraceBuilder.add_columns`, the append every batched
+    kernel's columns go through.
+    """
+    sizes = []
+    original = TraceBuilder.add_columns
+
+    def spy(builder, struct_ids, offsets, kinds):
+        sizes.append(len(struct_ids))
+        return original(builder, struct_ids, offsets, kinds)
+
+    monkeypatch.setattr(TraceBuilder, "add_columns", spy)
+    monkeypatch.setenv(CHUNK_ENV_VAR, str(budget))
+    output = fn(*args, SIM)
+    monkeypatch.undo()
+    return sizes, output
+
+
 class TestSpMMTiling:
     """Rows longer than the chunk budget are appended in budget-sized tiles."""
 
     BUDGET = 64
-
-    def _append_sizes(self, monkeypatch, fn, lhs, rhs):
-        sizes = []
-        original = TraceBuilder.add_columns
-
-        def spy(builder, struct_ids, offsets, kinds):
-            sizes.append(len(struct_ids))
-            return original(builder, struct_ids, offsets, kinds)
-
-        monkeypatch.setattr(TraceBuilder, "add_columns", spy)
-        monkeypatch.setenv(CHUNK_ENV_VAR, str(self.BUDGET))
-        _, report = fn(lhs, rhs, SIM)
-        monkeypatch.undo()
-        return sizes, report
 
     def test_wide_operand_appends_fit_the_budget(self, monkeypatch):
         a = uniform_random_matrix(4, 32, density=0.2, seed=31)
         b = uniform_random_matrix(32, 256, density=0.05, seed=32)
         busy_rows = int(np.count_nonzero(np.diff(coo_to_csr(a).row_ptr)))
         for batched, reference, lhs, rhs in _spmm_operands(a, b, SMASH_CONFIGS["b4"]):
-            sizes, report = self._append_sizes(monkeypatch, batched, lhs, rhs)
+            sizes, (_, report) = appended_sizes(monkeypatch, self.BUDGET, batched, lhs, rhs)
             name = batched.__name__
             assert sizes and max(sizes) <= self.BUDGET, name
             assert len(sizes) > busy_rows, f"{name}: rows were not tiled"
@@ -459,8 +465,8 @@ class TestSpMMTiling:
     def test_oversized_pair_is_appended_alone(self, monkeypatch):
         a_csr = coo_to_csr(COOMatrix.from_dense(np.ones((1, 64))))
         b_csc = coo_to_csc(COOMatrix.from_dense(np.ones((64, 2))))
-        sizes, report = self._append_sizes(
-            monkeypatch, spmm.spmm_csr_instrumented, a_csr, b_csc
+        sizes, (_, report) = appended_sizes(
+            monkeypatch, self.BUDGET, spmm.spmm_csr_instrumented, a_csr, b_csc
         )
         # The row pointer, then each pair alone: its column pointer, 64
         # matching steps of four accesses and its C write.
@@ -468,6 +474,93 @@ class TestSpMMTiling:
         assert_reports_identical(
             report, legacy.spmm_csr_instrumented(a_csr, b_csc, SIM)[1], "oversized pair"
         )
+
+
+def _with_rows_cleared(coo, start, stop):
+    dense = coo.to_dense()
+    dense[start:stop] = 0.0
+    return COOMatrix.from_dense(dense)
+
+
+def _single_nonzero(rows, cols, row, col):
+    dense = np.zeros((rows, cols))
+    dense[row, col] = 1.5
+    return COOMatrix.from_dense(dense)
+
+
+#: COO matrices that corner the SMASH SpMV scan planners (see
+#: ``TestSpMVSmashEdgeCases``).
+SMASH_SPMV_EDGES = {
+    "all_zero": lambda: uniform_random_matrix(96, 96, density=0.0, seed=1),
+    # 225 elements: the last block is truncated, and it holds the only non-zero.
+    "last_block": lambda: _single_nonzero(15, 15, 14, 14),
+    # 900 elements: Bitmap-0 has 450 or 225 bits, not a multiple of 64.
+    "odd_bitmap": lambda: uniform_random_matrix(30, 30, density=0.1, seed=4),
+    # Rows 51-102 hold elements 8192-16383, all of top-level word 1 of
+    # b2.4.16 (and several words of b2.4): a zero word between set words.
+    "top_word_gap": lambda: _with_rows_cleared(
+        uniform_random_matrix(160, 160, density=0.05, seed=6), 51, 103
+    ),
+    # Bitmap-0 outgrows the 2048-bit BMU window: reloads and all-zero-span skips.
+    "bmu_reload": lambda: clustered_matrix(
+        96, 96, density=0.02, cluster_size=5, cluster_height=2, seed=13
+    ),
+}
+
+
+class TestSpMVSmashEdgeCases:
+    """Both SMASH SpMV kernels == legacy on scan-plan corner cases.
+
+    Each case runs monolithic and at every ``CHUNK_SIZES`` budget, on the
+    1-, 2- and 3-level configs. Reports and ``y`` must equal the legacy
+    kernel's exactly, and no append may exceed the budget.
+    """
+
+    PAIRS = [
+        (spmv.spmv_smash_software_instrumented, legacy.spmv_smash_software_instrumented),
+        (spmv.spmv_smash_hardware_instrumented, legacy.spmv_smash_hardware_instrumented),
+    ]
+
+    @pytest.mark.parametrize("config_name", sorted(SMASH_CONFIGS))
+    @pytest.mark.parametrize("case", sorted(SMASH_SPMV_EDGES))
+    def test_matches_legacy(self, case, config_name, monkeypatch):
+        matrix = SMASHMatrix.from_coo(SMASH_SPMV_EDGES[case](), SMASH_CONFIGS[config_name])
+        x = np.random.default_rng(5).uniform(0.1, 1.0, matrix.cols)
+        for batched, reference in self.PAIRS:
+            y_ref, r_ref = reference(matrix, x, SIM)
+            for budget in (0,) + CHUNK_SIZES:
+                sizes, (y_new, r_new) = appended_sizes(monkeypatch, budget, batched, matrix, x)
+                tag = f"{case}/{config_name}/{batched.__name__}/budget {budget}"
+                assert_reports_identical(r_new, r_ref, tag)
+                assert y_new.tobytes() == y_ref.tobytes(), tag
+                if budget:
+                    assert max(sizes, default=0) <= budget, tag
+
+    def test_cases_reach_their_corners(self):
+        """Each case really has the shape its name promises."""
+        deep = SMASH_CONFIGS["b2.4.16"]
+        empty = SMASHMatrix.from_coo(SMASH_SPMV_EDGES["all_zero"](), deep)
+        assert empty.hierarchy.base.n_words > 1 and not empty.hierarchy.base.words.any()
+
+        last = SMASHMatrix.from_coo(SMASH_SPMV_EDGES["last_block"](), deep)
+        assert last.hierarchy.base.set_bit_array().tolist() == [last.hierarchy.base.n_bits - 1]
+        assert (15 * 15) % deep.block_size
+
+        for config in SMASH_CONFIGS.values():
+            odd = SMASHMatrix.from_coo(SMASH_SPMV_EDGES["odd_bitmap"](), config)
+            assert odd.hierarchy.base.n_bits % 64, config
+
+        for name in ("b2.4.16", "b2.4"):
+            gap = SMASHMatrix.from_coo(SMASH_SPMV_EDGES["top_word_gap"](), SMASH_CONFIGS[name])
+            top = gap.hierarchy.bitmap(gap.hierarchy.levels - 1).words
+            set_words = np.flatnonzero(top)
+            assert not top[set_words[0]:set_words[-1]].all(), name
+
+        reload = SMASHMatrix.from_coo(SMASH_SPMV_EDGES["bmu_reload"](), deep)
+        _, report = spmv.spmv_smash_hardware_instrumented(
+            reload, np.ones(reload.cols), SIM
+        )
+        assert report.metadata["bmu_buffer_reloads"] > 0
 
 
 class TestBatchApiEquivalence:
