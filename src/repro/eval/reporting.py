@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from typing import List, Mapping, Sequence
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -100,13 +100,3 @@ def _flatten_if_numeric(value: Mapping) -> str | None:
     if all(not isinstance(v, Mapping) for v in value.values()):
         return ", ".join(f"{k}={_fmt(v)}" for k, v in value.items())
     return None
-
-
-def summarize_speedups(per_item: Dict[str, Dict[str, Dict[str, float]]], metric: str = "speedup") -> str:
-    """One line per item listing the per-scheme values of ``metric``."""
-    lines = []
-    for item, metrics in per_item.items():
-        values = metrics.get(metric, {})
-        rendered = ", ".join(f"{scheme}={_fmt(v)}" for scheme, v in values.items())
-        lines.append(f"{item}: {rendered}")
-    return "\n".join(lines)

@@ -227,6 +227,8 @@ class BitmapManagementUnit:
     ) -> None:
         if n_groups < 1:
             raise ValueError("the BMU needs at least one group")
+        if buffers_per_group < 1:
+            raise ValueError("each BMU group needs at least one buffer")
         self.buffer_bytes = buffer_bytes
         self.buffers_per_group = buffers_per_group
         self.groups: List[BMUGroup] = [

@@ -37,6 +37,7 @@ from repro.formats.base import VALUE_BYTES as VAL
 from repro.sim.trace import (
     KIND_STREAM,
     KIND_WRITE,
+    Columns,
     TraceBuilder,
     exclusive_cumsum,
     grouped_arange,
@@ -92,11 +93,10 @@ class BlockBodies:
         when ``before[k] == n_blocks``. ``before`` must be non-decreasing;
         events before the same block keep their order.
 
-        The spliced trace is appended in windows of the builder's chunk
-        budget (one window when the builder is monolithic), each assembled
-        from only the blocks it overlaps. The first window tops up the
-        builder's partly filled segment, so no append exceeds the budget and
-        each later window starts a fresh segment.
+        The spliced trace is appended through
+        :meth:`~repro.sim.trace.TraceBuilder.add_windows`, in windows of the
+        builder's chunk budget (one window when the builder is monolithic),
+        each assembled from only the blocks it overlaps.
         """
         before = np.asarray(before, dtype=np.int64)
         total = self.total_len + before.size
@@ -104,13 +104,11 @@ class BlockBodies:
         # past the k events spliced in ahead of it.
         body_start = np.append(self.starts, self.total_len)
         event_pos = body_start[before] + np.arange(before.size, dtype=np.int64)
-        budget = builder.chunk_accesses
-        lo = 0
-        while lo < total:
-            hi = total if budget is None else min(total, lo + budget - builder.n_accesses)
+
+        def window(lo: int, hi: int) -> Columns:
             k0, k1 = (int(k) for k in np.searchsorted(event_pos, (lo, hi)))
             n = hi - lo
-            window = (np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n, np.uint8))
+            columns = (np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n, np.uint8))
             is_body = np.ones(n, dtype=bool)
             is_body[event_pos[k0:k1] - lo] = False
             b0, b1 = lo - k0, hi - k1  # body accesses in the window
@@ -118,12 +116,13 @@ class BlockBodies:
                 first = int(np.searchsorted(self.starts, b0, side="right")) - 1
                 last = int(np.searchsorted(self.starts, b1, side="left"))
                 cut = slice(b0 - int(self.starts[first]), b1 - int(self.starts[first]))
-                for column, body in zip(window, self._assemble(first, last)):
+                for column, body in zip(columns, self._assemble(first, last)):
                     column[is_body] = body[cut]
-            for column, event in zip(window, (ids, offsets, kinds)):
+            for column, event in zip(columns, (ids, offsets, kinds)):
                 column[~is_body] = event[k0:k1]
-            builder.add_columns(*window)
-            lo = hi
+            return columns
+
+        builder.add_windows(total, window)
 
     def _assemble(self, lo: int, hi: int):
         """Scatter the interleaved columns of blocks ``[lo, hi)``."""

@@ -18,20 +18,21 @@ index matching is performed:
   ``RDIND`` pair executed by the BMU and the bitmaps are streamed into the
   BMU buffers by ``RDBMAP`` (Algorithm 2 of the paper).
 
-The batched implementations have no per-(row, column) Python loop. Each row
-of A runs one *keyed* merge against every column of B at once: with every
-index keyed as ``column * span + index``, A's row replicated once per column
-and B's column-major entries are two sorted arrays, one sort of their union
-yields every pair's merge steps in order, and ``searchsorted`` gives both
-cursors at each step (BCSR keys its two per-block ``searchsorted`` calls the
-same way, once per block row). The row's trace — the
-row-pointer load, then per column its pointer or bitmap loads, merge steps,
-match loads and ``C`` write — is scattered in program order and appended
-with one ``add_columns`` call. A row longer than the trace builder's chunk
-budget is appended in tiles of whole columns that fit it, so peak trace
-memory stays bounded (DESIGN.md section 10). Per-pair accumulators are
-summed left to right (:func:`~repro.sim.trace.segment_sums`), exactly like
-the sequential ``acc +=`` that decides the ``C`` writes, so cost reports are
+The batched implementations have no Python loop over rows or (row,
+column) pairs. Each kernel plans a *window* of A's rows at once, sized by
+a per-row bound on merge steps (:data:`WINDOW_STEPS`). In a window, pair
+``k * n_cols + column`` merges busy row ``k`` with one column of B: keyed
+as ``pair * span + index``, the entries each pair's merge can reach on
+either side form two sorted runs, one sort merges them, and counts of the
+entries merged ahead of each step give both cursors (BCSR matches whole
+blocks with two ``searchsorted`` calls over every (row, column, block)
+item instead). The window's trace — per row its head (row pointer or
+bitmap window), then per pair its pointer or bitmap loads, merge steps,
+match loads and ``C`` write — is laid out in program order and appended in
+windows of the trace builder's chunk budget, so peak trace memory stays
+bounded (DESIGN.md section 10). Per-pair accumulators are summed left to
+right (:func:`~repro.sim.trace.segment_sums`), exactly like the sequential
+``acc +=`` that decides the ``C`` writes, so cost reports are
 bit-identical to the per-element reference kernels in
 :mod:`repro.kernels.legacy`, at any chunk size.
 
@@ -41,7 +42,7 @@ array.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -67,6 +68,7 @@ from repro.sim.trace import (
     KIND_DEPENDENT,
     KIND_STREAM,
     KIND_WRITE,
+    Columns,
     TraceBuilder,
     exclusive_cumsum,
     grouped_arange,
@@ -74,6 +76,10 @@ from repro.sim.trace import (
 )
 
 KernelOutput = Tuple[np.ndarray, CostReport]
+
+#: Row-window limit: the most merge steps (by the per-row upper bound) one
+#: window plans, so planning scratch stays bounded at any dimension.
+WINDOW_STEPS = 1 << 16
 
 
 def _check_dims(a_shape, b_shape) -> None:
@@ -91,84 +97,119 @@ def _keyed(index: np.ndarray, ptr: np.ndarray, span: int) -> np.ndarray:
     return column * span + index
 
 
-def _keyed_merge(
-    a_idx: np.ndarray, b_keys: np.ndarray, b_ptr: np.ndarray, span: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Two-pointer merges of one sorted index row against every B column.
+def _row_windows(
+    row_len: np.ndarray, n_cols: int, nnz_b: int
+) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray]]:
+    """Split rows into windows of at most :data:`WINDOW_STEPS` merge steps.
 
-    Step ``t`` of a pair visits the pair's ``t``-th distinct index, where
-    each cursor has consumed its elements smaller than it; one sort of the
-    keyed union yields every pair's steps in order and ``searchsorted`` both
-    cursors. ``ka < la and kb < lb`` is monotone within a pair, so filtering
-    on it keeps exactly the steps of each pair's ``while ka < la and kb <
-    lb`` loop. Returns ``(pair, ka, kb, match)`` per step in program order:
-    ``ka`` indexes A's row, ``kb`` B's entries (absolute).
+    A row with ``la`` entries takes at most ``la * n_cols + nnz_b`` steps
+    (an empty row none). A window holds at least one row, so a row over the
+    limit is planned alone. Yields ``(r0, r1, busy, rows)``: ``busy`` flags
+    the window's non-empty rows and ``rows`` lists them.
     """
-    la = a_idx.size
-    a_keys = (np.arange(b_ptr.size - 1, dtype=np.int64)[:, None] * span + a_idx).ravel()
-    keys = np.concatenate((a_keys, b_keys))
-    keys.sort(kind="stable")  # merges the two sorted runs
-    if keys.size:
-        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    pair = keys // span
-    ka = np.searchsorted(a_keys, keys) - pair * la
-    kb = np.searchsorted(b_keys, keys)
-    alive = (ka < la) & (kb < b_ptr[pair + 1])
-    pair, ka, kb = pair[alive], ka[alive], kb[alive]
-    return pair, ka, kb, b_keys[kb] == pair * span + a_idx[ka]
+    ends = np.cumsum(row_len * n_cols + (row_len > 0) * nnz_b)
+    lo = 0
+    while lo < row_len.size:
+        base = int(ends[lo - 1]) if lo else 0
+        hi = max(int(np.searchsorted(ends, base + WINDOW_STEPS, side="right")), lo + 1)
+        busy = row_len[lo:hi] > 0
+        yield lo, hi, busy, np.flatnonzero(busy) + lo
+        lo = hi
+
+
+def _keyed_merge(
+    a_idx: np.ndarray, la: np.ndarray, b_keys: np.ndarray, b_ptr: np.ndarray, span: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Two-pointer merges of a window of sorted index rows against every B column.
+
+    ``a_idx`` holds the rows back to back, row ``k`` being the next
+    ``la[k] > 0`` entries. Pair ``k * n_cols + column`` merges row ``k``
+    with one B column; its ``while ka < la and kb < lb`` loop visits, in
+    order, the distinct indices up to the smaller of the two last indices,
+    and each side's entries up to that bound are a prefix of it. Keyed as
+    ``pair * span + index``, the A prefixes of every pair and the B
+    prefixes of every pair are two sorted runs; one sort merges them,
+    tagged by origin in the low bit (A's copy of a shared key sorts first).
+    Each distinct key is one step, and the B entries merged ahead of it
+    give both cursors. Returns ``(pair, ka, kb, match)`` per step in
+    program order: ``ka`` indexes ``a_idx``, ``kb`` B's entries.
+    """
+    n_cols = b_ptr.size - 1
+    a_ptr = np.zeros(la.size + 1, dtype=np.int64)
+    np.cumsum(la, out=a_ptr[1:])
+    row_base = np.arange(la.size, dtype=np.int64) * span
+    col_base = np.arange(n_cols, dtype=np.int64) * span
+    a_keys = np.repeat(row_base, la) + a_idx
+    # Each row's and column's last index (-1: an empty column takes no step).
+    a_last = a_idx[a_ptr[1:] - 1]
+    b_last = np.full(n_cols, -1, dtype=np.int64)
+    filled = np.flatnonzero(np.diff(b_ptr))
+    b_last[filled] = b_keys[b_ptr[filled + 1] - 1] - col_base[filled]
+    # Per pair: the entries each side takes (a prefix), and the shift from
+    # a run position to its entry index.
+    a_take = np.searchsorted(a_keys, row_base[:, None] + b_last, "right") - a_ptr[:-1, None]
+    b_take = np.searchsorted(b_keys, col_base + a_last[:, None], "right") - b_ptr[:-1]
+    a_take, b_take = a_take.ravel(), b_take.ravel()
+    a_shift = exclusive_cumsum(a_take) - np.repeat(a_ptr[:-1], n_cols)
+    b_shift = exclusive_cumsum(b_take) - np.tile(b_ptr[:-1], la.size)
+    pair_base = np.arange(a_take.size, dtype=np.int64) * (2 * span)
+    a_run = np.repeat(pair_base - np.repeat(2 * row_base, n_cols), a_take)
+    a_run += 2 * a_keys[np.arange(a_run.size, dtype=np.int64) - np.repeat(a_shift, a_take)]
+    b_run = np.repeat(pair_base - np.tile(2 * col_base, la.size) + 1, b_take)
+    b_run += 2 * b_keys[np.arange(b_run.size, dtype=np.int64) - np.repeat(b_shift, b_take)]
+    merged = np.concatenate((a_run, b_run))
+    merged.sort(kind="stable")  # merges the two sorted runs
+    from_b = merged & 1
+    key = merged >> 1
+    first = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    step = np.flatnonzero(first)
+    b_seen = np.cumsum(from_b)[step] - from_b[step]
+    pair = key[step] // span
+    match = np.diff(step, append=key.size) == 2  # an A and a B copy
+    return pair, step - b_seen - a_shift[pair], b_seen - b_shift[pair], match
 
 
 def _layout(
-    head: int, pre: np.ndarray, body_pair: np.ndarray, body_len: np.ndarray, post: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Row-relative positions of one row's trace.
+    head: int,
+    busy: np.ndarray,
+    n_cols: int,
+    pre: int,
+    body_pair: np.ndarray,
+    body_len: np.ndarray,
+    post: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """Window-relative positions of a row window's trace.
 
-    The row is ``head`` accesses, then for each pair ``j`` in order
-    ``pre[j]`` accesses, the pair's body items (``body_pair`` ascending,
-    ``body_len`` accesses each) and ``post[j]`` accesses (a bool counts as
-    0 or 1). Returns ``(pair_pos, body_pos, post_pos, pair_end)``.
+    Every row is ``head`` accesses; a busy row (``busy`` flags one per row)
+    then has ``n_cols`` pairs. Pair ``p`` (busy row ``p // n_cols``) is
+    ``pre`` accesses, its body items (``body_pair`` ascending, ``body_len``
+    accesses each) and ``post[p]`` accesses (a bool counts as 0 or 1).
+    Returns ``(row_pos, pair_pos, body_pos, post_pos, total)``.
     """
-    counts = np.bincount(body_pair, minlength=pre.size)
+    counts = np.bincount(body_pair, minlength=post.size)
     first = exclusive_cumsum(counts)
     csum = np.zeros(body_len.size + 1, dtype=np.int64)
     np.cumsum(body_len, out=csum[1:])
     body_total = csum[first + counts] - csum[first]
-    length = pre + body_total + post
-    pair_end = head + np.cumsum(length)
-    pair_pos = pair_end - length
+    ends = np.zeros(post.size + 1, dtype=np.int64)
+    np.cumsum(pre + body_total + post, out=ends[1:])
+    row_pos = head * np.arange(busy.size, dtype=np.int64) + ends[exclusive_cumsum(busy) * n_cols]
+    pair_pos = head * np.repeat(np.flatnonzero(busy) + 1, n_cols) + ends[:-1]
     body_pos = (pair_pos + pre - csum[first])[body_pair] + csum[:-1]
-    return pair_pos, body_pos, pair_pos + pre + body_total, pair_end
+    total = head * busy.size + int(ends[-1])
+    return row_pos, pair_pos, body_pos, pair_pos + pre + body_total, total
 
 
-def _row_cuts(head: int, pair_end: np.ndarray, budget: Optional[int]) -> List[int]:
-    """Append boundaries for one row's trace.
-
-    The whole row when it fits the chunk budget (or chunking is off);
-    otherwise the longest runs of whole pairs that fit, cutting only after
-    the head or between pairs, so a piece exceeds the budget only when it
-    is a single oversized pair (or head).
-    """
-    total = int(pair_end[-1]) if pair_end.size else head
-    if budget is None or total <= budget:
-        return [0, total]
-    ends = np.concatenate(([head], pair_end))
-    cuts = [0]
-    while cuts[-1] < total:
-        fit = int(np.searchsorted(ends, cuts[-1] + budget, side="right")) - 1
-        if fit < 0 or ends[fit] <= cuts[-1]:
-            fit += 1
-        cuts.append(int(ends[fit]))
-    return cuts
-
-
-#: One run of a row's trace: ``(positions, structure id, offsets, kind)``,
-#: positions ascending and row-relative.
+#: One run of a window's trace: ``(positions, structure id, offsets, kind)``,
+#: positions ascending and window-relative.
 Part = Tuple[np.ndarray, int, np.ndarray, int]
 
 
-def _emit_row(builder: TraceBuilder, parts: List[Part], cuts: List[int]) -> None:
-    """Scatter one row's parts into trace columns, one append per cut."""
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
+def _emit(builder: TraceBuilder, parts: List[Part], total: int) -> None:
+    """Scatter a window's parts into trace columns, one append per budget window."""
+
+    def window(lo: int, hi: int) -> Columns:
         ids = np.empty(hi - lo, dtype=np.int64)
         offsets = np.empty(hi - lo, dtype=np.int64)
         kinds = np.full(hi - lo, KIND_STREAM, dtype=np.uint8)
@@ -179,7 +220,9 @@ def _emit_row(builder: TraceBuilder, parts: List[Part], cuts: List[int]) -> None
             offsets[at] = offs[first:last]
             if kind != KIND_STREAM:
                 kinds[at] = kind
-        builder.add_columns(ids, offsets, kinds)
+        return ids, offsets, kinds
+
+    builder.add_windows(total, window)
 
 
 # --------------------------------------------------------------------------- #
@@ -214,62 +257,64 @@ def _spmm_csr_like(
     span = max(b_csc.rows, 1)
     b_keys = _keyed(b_csc.row_ind.astype(np.int64), b_ptr, span)
     columns = np.arange(n_cols, dtype=np.int64)
-    ptr_loads = np.ones(n_cols, dtype=np.int64)
+    row_ptr = a_csr.row_ptr.astype(np.int64)
+    a_cols = a_csr.col_ind.astype(np.int64)
+    c_flat = c.reshape(-1)
+    row_len = np.diff(row_ptr)
 
-    busy_rows = 0
-    total_steps = 0
-    total_matches = 0
-    for i in range(a_csr.rows):
-        a_start, a_end = int(a_csr.row_ptr[i]), int(a_csr.row_ptr[i + 1])
-        if a_start == a_end:
-            builder.add_one("A_row_ptr", (i + 1) * IDX, KIND_STREAM)
-            continue
-        busy_rows += 1
-        a_cols = a_csr.col_ind[a_start:a_end].astype(np.int64)
-        pair, ka, kb, match = _keyed_merge(a_cols, b_keys, b_ptr, span)
+    # One row window per call: its planning scratch is freed on return,
+    # before the next window and before replay.
+    def emit_window(r0: int, r1: int, busy: np.ndarray, rows: np.ndarray) -> Tuple[int, ...]:
+        a0 = int(row_ptr[r0])
+        pair, ka, kb, match = _keyed_merge(
+            a_cols[a0:row_ptr[r1]], row_len[rows], b_keys, b_ptr, span
+        )
+        ka += a0
         m_pair, m_ka, m_kb = pair[match], ka[match], kb[match]
-        total_matches += m_pair.size
+        c_at = (rows[:, None] * n_cols + columns).ravel()
         acc = segment_sums(
-            a_csr.values[a_start + m_ka] * b_csc.values[m_kb],
-            np.bincount(m_pair, minlength=n_cols),
+            a_csr.values[m_ka] * b_csc.values[m_kb], np.bincount(m_pair, minlength=c_at.size)
         )
         written = acc != 0.0
-        c[i, written] = acc[written]
-        parts: List[Part] = [
-            (np.zeros(1, dtype=np.int64), id_rp, np.array([(i + 1) * IDX]), KIND_STREAM)
-        ]
+        c_flat[c_at[written]] = acc[written]
         if ideal_indexing:
             # Matching positions known a priori: only touch the matches.
-            pair_pos, body_pos, post_pos, pair_end = _layout(
-                1, ptr_loads, m_pair, np.full(m_pair.size, 2, dtype=np.int64), written
+            row_pos, pair_pos, body_pos, post_pos, total = _layout(
+                1, busy, n_cols, 1, m_pair, np.full(m_pair.size, 2, dtype=np.int64), written
             )
-            parts += [
-                (body_pos, id_av, (a_start + m_ka) * VAL, KIND_STREAM),
+            parts: List[Part] = [
+                (body_pos, id_av, m_ka * VAL, KIND_STREAM),
                 (body_pos + 1, id_bv, m_kb * VAL, KIND_STREAM),
             ]
         else:
             # Index matching: load both indices and compare, then touch
             # both values on a match.
-            total_steps += pair.size
-            pair_pos, body_pos, post_pos, pair_end = _layout(
-                1, ptr_loads, pair, np.where(match, 4, 2), written
+            row_pos, pair_pos, body_pos, post_pos, total = _layout(
+                1, busy, n_cols, 1, pair, np.where(match, 4, 2), written
             )
             match_pos = body_pos[match]
-            parts += [
-                (body_pos, id_aci, (a_start + ka) * IDX, KIND_STREAM),
+            parts = [
+                (body_pos, id_aci, ka * IDX, KIND_STREAM),
                 (body_pos + 1, id_bri, kb * IDX, KIND_STREAM),
-                (match_pos + 2, id_av, (a_start + m_ka) * VAL, KIND_STREAM),
+                (match_pos + 2, id_av, m_ka * VAL, KIND_STREAM),
                 (match_pos + 3, id_bv, m_kb * VAL, KIND_STREAM),
             ]
         parts += [
-            (pair_pos, id_cp, (columns + 1) * IDX, KIND_STREAM),
-            (post_pos[written], id_c, (i * n_cols + columns[written]) * VAL, KIND_WRITE),
+            (row_pos, id_rp, np.arange(r0 + 1, r1 + 1, dtype=np.int64) * IDX, KIND_STREAM),
+            (pair_pos, id_cp, np.tile(columns + 1, rows.size) * IDX, KIND_STREAM),
+            (post_pos[written], id_c, c_at[written] * VAL, KIND_WRITE),
         ]
-        _emit_row(builder, parts, _row_cuts(1, pair_end, builder.chunk_accesses))
+        _emit(builder, parts, total)
+        return (0 if ideal_indexing else pair.size), m_pair.size
+
+    totals = np.zeros(2, dtype=np.int64)
+    for bounds in _row_windows(row_len, n_cols, b_keys.size):
+        totals += emit_window(*bounds)
+    total_steps, total_matches = (int(t) for t in totals)
 
     instr.replay_trace(builder.build())
     rows_visited = a_csr.rows
-    pairs_visited = busy_rows * n_cols
+    pairs_visited = int(np.count_nonzero(row_len)) * n_cols
     per_step_index = 2 if not ideal_indexing else 0
     per_step_branch = costs.branch_per_nnz if not ideal_indexing else 0
     stores = int(np.count_nonzero(c))
@@ -328,9 +373,9 @@ def spmm_bcsr_instrumented(
     and each column of B, every stored block of the block row is matched
     against the B entries whose row index falls inside the block's column
     range. Each match multiplies a full block column (including padding
-    zeros) by the B value. Per block row, the advance/match structure of
-    every (column, block) pair comes from two searchsorted calls over B's
-    keyed row indices.
+    zeros) by the B value. Per row window, the advance/match structure of
+    every (block row, column, block) item comes from two searchsorted calls
+    over B's keyed row indices.
     """
     _check_dims(a_bcsr.shape, b_csc.shape)
     instr = KernelInstrumentation("spmm", "taco_bcsr", config)
@@ -360,61 +405,56 @@ def spmm_bcsr_instrumented(
     span = max(b_csc.rows, a_bcsr.block_cols * bc, 1)
     b_keys = _keyed(b_rows, b_ptr, span)
     columns = np.arange(n_cols, dtype=np.int64)
-    busy = np.flatnonzero(np.diff(b_ptr))  # columns of B with entries
-    ptr_loads = np.ones(n_cols, dtype=np.int64)
+    busy_cols = np.flatnonzero(np.diff(b_ptr))  # columns of B with entries
+    row_ptr = a_bcsr.block_row_ptr.astype(np.int64)
+    col_ind = a_bcsr.block_col_ind.astype(np.int64)
+    row_len = np.diff(row_ptr)
 
     block_rows_visited = a_bcsr.block_rows
-    busy_block_rows = 0
-    blocks_visited = 0
-    total_skips = 0
-    total_matches = 0
-    total_stores = 0
-    for bi in range(a_bcsr.block_rows):
-        blk_start, blk_end = int(a_bcsr.block_row_ptr[bi]), int(a_bcsr.block_row_ptr[bi + 1])
-        if blk_start == blk_end:
-            builder.add_one("A_block_row_ptr", (bi + 1) * IDX, KIND_STREAM)
-            continue
-        busy_block_rows += 1
-        n_blk = blk_end - blk_start
-        blocks = np.tile(np.arange(blk_start, blk_end, dtype=np.int64), busy.size)
-        col_lo = np.tile(a_bcsr.block_col_ind[blk_start:blk_end].astype(np.int64) * bc, busy.size)
-        pair = np.repeat(busy, n_blk)
-        # Per (column, block): the B cursor before the block (the previous
-        # block's range start), the first entry in its range and past it.
-        s_lo = np.searchsorted(b_keys, pair * span + col_lo)
-        s_hi = np.searchsorted(b_keys, pair * span + col_lo + bc)
+
+    # One row window per call (scratch freed on return, as for CSR).
+    def emit_window(r0: int, r1: int, busy: np.ndarray, rows: np.ndarray) -> Tuple[int, ...]:
+        # One item per (block row, busy column, block), in program order.
+        group_len = np.repeat(row_len[rows], busy_cols.size)
+        group = np.repeat(np.arange(group_len.size, dtype=np.int64), group_len)
+        row, col = np.divmod(group, max(busy_cols.size, 1))
+        blocks = row_ptr[rows][row] + grouped_arange(group_len)
+        col = busy_cols[col]
+        pair = row * n_cols + col
+        col_lo = col_ind[blocks] * bc
+        # Per item: the B cursor before the block (the previous block's
+        # range start), the first entry in its range and past it.
+        s_lo = np.searchsorted(b_keys, col * span + col_lo)
+        s_hi = np.searchsorted(b_keys, col * span + col_lo + bc)
         kb_prev = np.empty_like(s_lo)
         kb_prev[1:] = s_lo[:-1]
-        kb_prev[::n_blk] = b_ptr[busy]
+        group_first = exclusive_cumsum(group_len)
+        kb_prev[group_first] = b_ptr[col[group_first]]
         n_skip = s_lo - kb_prev
         n_match = s_hi - s_lo
-        blocks_visited += pair.size
-        total_skips += int(n_skip.sum())
-        matches_here = int(n_match.sum())
-        total_matches += matches_here
 
         kk = np.repeat(s_lo, n_match) + grouped_arange(n_match)
         local_col = b_rows[kk] - np.repeat(col_lo, n_match)
         blk_of = np.repeat(blocks, n_match)
-        pair_matches = np.bincount(np.repeat(pair, n_match), minlength=n_cols)
+        pair_matches = np.bincount(np.repeat(pair, n_match), minlength=rows.size * n_cols)
         touched = pair_matches > 0
-        if matches_here:
+        hit = np.flatnonzero(touched)
+        c_rows = (rows * br)[hit // n_cols][:, None] + block_r
+        c_cols = (hit % n_cols)[:, None]
+        if hit.size:
             products = a_bcsr.blocks[blk_of, :, local_col] * b_csc.values[kk][:, None]
-            sums = segment_sums(products, pair_matches)
-            c[bi * br:(bi + 1) * br, touched] += sums[touched].T
-        total_stores += br * int(touched.sum())
-        pair_pos, body_pos, post_pos, pair_end = _layout(
-            1, ptr_loads, pair, 1 + n_skip + match_unit * n_match, br * touched
+            c[c_rows, c_cols] += segment_sums(products, pair_matches)[hit]
+        row_pos, pair_pos, body_pos, post_pos, total = _layout(
+            1, busy, n_cols, 1, pair, 1 + n_skip + match_unit * n_match, br * touched
         )
         # Per block: its column-index load, the B_row_ind loads that advance
         # the column pointer, and one match event per B entry inside the
         # block's columns (its index, a block column, the dependent B value).
         skip_at = grouped_arange(n_skip)
         event = np.repeat(body_pos + 1 + n_skip, n_match) + match_unit * grouped_arange(n_match)
-        c_rows = bi * br + block_r
         parts: List[Part] = [
-            (np.zeros(1, dtype=np.int64), id_rp, np.array([(bi + 1) * IDX]), KIND_STREAM),
-            (pair_pos, id_cp, (columns + 1) * IDX, KIND_STREAM),
+            (row_pos, id_rp, np.arange(r0 + 1, r1 + 1, dtype=np.int64) * IDX, KIND_STREAM),
+            (pair_pos, id_cp, np.tile(columns + 1, rows.size) * IDX, KIND_STREAM),
             (body_pos, id_bci, blocks * IDX, KIND_STREAM),
             (
                 np.repeat(body_pos + 1, n_skip) + skip_at,
@@ -433,14 +473,20 @@ def spmm_bcsr_instrumented(
             (
                 (post_pos[touched][:, None] + block_r).ravel(),
                 id_c,
-                (c_rows * n_cols + columns[touched][:, None]).ravel() * VAL,
+                (c_rows * n_cols + c_cols).ravel() * VAL,
                 KIND_WRITE,
             ),
         ]
-        _emit_row(builder, parts, _row_cuts(1, pair_end, builder.chunk_accesses))
+        _emit(builder, parts, total)
+        return pair.size, int(n_skip.sum()), int(n_match.sum()), br * hit.size
+
+    totals = np.zeros(4, dtype=np.int64)
+    for bounds in _row_windows(row_len, n_cols, b_keys.size):
+        totals += emit_window(*bounds)
+    blocks_visited, total_skips, total_matches, total_stores = (int(t) for t in totals)
 
     instr.replay_trace(builder.build())
-    pairs_visited = busy_block_rows * n_cols
+    pairs_visited = int(np.count_nonzero(row_len)) * n_cols
     instr.count_batch(
         {
             InstructionClass.LOAD: block_rows_visited
@@ -505,12 +551,8 @@ def _spmm_smash_common(
     block = a.block_size
     a_bounds, a_offsets, a_nza = row_block_table(a)
     b_bounds, b_offsets, b_nza = row_block_table(b_transposed)
-    a_data = a.nza.data.reshape(-1, block) if a.nza.n_blocks else a.nza.data.reshape(0, block)
-    b_data = (
-        b_transposed.nza.data.reshape(-1, block)
-        if b_transposed.nza.n_blocks
-        else b_transposed.nza.data.reshape(0, block)
-    )
+    a_data = a.nza.data.reshape(-1, block)
+    b_data = b_transposed.nza.data.reshape(-1, block)
     c = np.zeros((n_rows, n_cols), dtype=np.float64)
     builder = instr.trace_builder()
     id_an = builder.structure_id("A_nza")
@@ -530,52 +572,50 @@ def _spmm_smash_common(
     row_bytes = bitmap_words_per_row * 8
     columns = np.arange(n_cols, dtype=np.int64)
     b_windows = (columns[:, None] * row_bytes + word_offsets).ravel()
-    window_loads = np.full(n_cols, window, dtype=np.int64)
     elems = np.arange(block, dtype=np.int64)
-    bitmap_reads = 0
-    total_steps = 0
-    total_matches = 0
-    stores = 0
-
-    for i in range(n_rows):
-        bitmap_reads += 1
-        lo, hi = int(a_bounds[i]), int(a_bounds[i + 1])
-        if lo == hi:
-            builder.add("A_bitmap0", i * row_bytes + word_offsets, KIND_STREAM)
-            continue
-        bitmap_reads += n_cols
-        pair, ka, kb, match = _keyed_merge(a_offsets[lo:hi], b_keys, b_bounds, span)
-        total_steps += pair.size
+    c_flat = c.reshape(-1)
+    row_len = np.diff(a_bounds)
+    # One row window per call (scratch freed on return, as for CSR).
+    def emit_window(r0: int, r1: int, busy: np.ndarray, rows: np.ndarray) -> Tuple[int, ...]:
+        a0 = int(a_bounds[r0])
+        pair, ka, kb, match = _keyed_merge(
+            a_offsets[a0:a_bounds[r1]], row_len[rows], b_keys, b_bounds, span
+        )
         m_pair = pair[match]
-        nza_a = a_nza[lo + ka[match]]
+        nza_a = a_nza[a0 + ka[match]]
         nza_b = b_nza[kb[match]]
-        total_matches += m_pair.size
         # Stacked matmul computes each block's dot like the reference
         # kernel's np.dot (einsum would sum the block in another order).
         dots = np.matmul(a_data[nza_a][:, None, :], b_data[nza_b][:, :, None])[:, 0, 0]
-        acc = segment_sums(dots, np.bincount(m_pair, minlength=n_cols))
+        c_at = (rows[:, None] * n_cols + columns).ravel()
+        acc = segment_sums(dots, np.bincount(m_pair, minlength=c_at.size))
         written = acc != 0.0
-        c[i, written] = acc[written]
-        stores += int(written.sum())
-        pair_pos, body_pos, post_pos, pair_end = _layout(
-            window,
-            window_loads,
-            m_pair,
-            np.full(m_pair.size, 2 * block, dtype=np.int64),
-            written,
+        c_flat[c_at[written]] = acc[written]
+        row_pos, pair_pos, body_pos, post_pos, total = _layout(
+            window, busy, n_cols, window, m_pair,
+            np.full(m_pair.size, 2 * block, dtype=np.int64), written,
         )
         # Each matching block pair streams both blocks, element-interleaved.
         a_at = (body_pos[:, None] + 2 * elems).ravel()
+        a_windows = np.arange(r0, r1, dtype=np.int64)[:, None] * row_bytes + word_offsets
+        b_at = (pair_pos[:, None] + window_at).ravel()
         parts: List[Part] = [
-            (window_at, id_abm, i * row_bytes + word_offsets, KIND_STREAM),
-            ((pair_pos[:, None] + window_at).ravel(), id_bbm, b_windows, KIND_STREAM),
+            ((row_pos[:, None] + window_at).ravel(), id_abm, a_windows.ravel(), KIND_STREAM),
+            (b_at, id_bbm, np.tile(b_windows, rows.size), KIND_STREAM),
             (a_at, id_an, (nza_a[:, None] * block + elems).ravel() * VAL, KIND_STREAM),
             (a_at + 1, id_bn, (nza_b[:, None] * block + elems).ravel() * VAL, KIND_STREAM),
-            (post_pos[written], id_c, (i * n_cols + columns[written]) * VAL, KIND_WRITE),
+            (post_pos[written], id_c, c_at[written] * VAL, KIND_WRITE),
         ]
-        _emit_row(builder, parts, _row_cuts(window, pair_end, builder.chunk_accesses))
+        _emit(builder, parts, total)
+        return pair.size, m_pair.size, int(written.sum())
+
+    totals = np.zeros(3, dtype=np.int64)
+    for bounds in _row_windows(row_len, n_cols, b_keys.size):
+        totals += emit_window(*bounds)
+    total_steps, total_matches, stores = (int(t) for t in totals)
 
     instr.replay_trace(builder.build())
+    bitmap_reads = n_rows + int(np.count_nonzero(row_len)) * n_cols
     counts = {
         InstructionClass.LOAD: (0 if hardware else bitmap_words_per_row * bitmap_reads)
         + 2 * block * total_matches,

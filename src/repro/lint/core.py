@@ -6,8 +6,8 @@ determinism of cache keys, registry-only dispatch, the package layering
 DAG.  The framework is deliberately tiny and
 stdlib-only so it can run anywhere the repo runs:
 
-* :class:`SourceFile` parses a file **once** and exposes a cached,
-  parent-annotated node index (:meth:`SourceFile.nodes_of_type`) that every
+* :class:`SourceFile` parses a file **once** and exposes a cached
+  node index (:meth:`SourceFile.nodes_of_type`) that every
   rule shares — linting N rules costs one ``ast.parse`` and one ``ast.walk``
   per file, not N.
 * :class:`Rule` is the extension point: subclasses declare an ``id`` /
@@ -112,9 +112,9 @@ def module_name_for(path: object) -> str:
 class SourceFile:
     """One parsed source file shared by every rule.
 
-    Parsing happens exactly once, in the constructor; the node index (and
-    the parent links it annotates) is built lazily on the first
-    :meth:`nodes_of_type` call and reused by all subsequent rules.
+    Parsing happens exactly once, in the constructor; the node index is
+    built lazily on the first :meth:`nodes_of_type` call and reused by all
+    subsequent rules.
     """
 
     def __init__(self, path: object, text: str, module: Optional[str] = None) -> None:
@@ -123,7 +123,6 @@ class SourceFile:
         self.module = module if module is not None else module_name_for(path)
         self.tree = ast.parse(text, filename=self.path)
         self._index: Optional[Dict[type, List[ast.AST]]] = None
-        self._parents: Dict[int, ast.AST] = {}
         self._suppressions: Optional[List[Suppression]] = None
 
     # ------------------------------------------------------------------ #
@@ -134,8 +133,6 @@ class SourceFile:
             index: Dict[type, List[ast.AST]] = {}
             for node in ast.walk(self.tree):
                 index.setdefault(type(node), []).append(node)
-                for child in ast.iter_child_nodes(node):
-                    self._parents[id(child)] = node
             self._index = index
         return self._index
 
@@ -146,20 +143,6 @@ class SourceFile:
         for node_type in types:
             nodes.extend(index.get(node_type, []))
         return nodes
-
-    def parent(self, node: ast.AST) -> Optional[ast.AST]:
-        """The direct parent of ``node`` (None for the module itself)."""
-        self._build_index()
-        return self._parents.get(id(node))
-
-    def enclosing_function(self, node: ast.AST) -> Optional[ast.AST]:
-        """The nearest enclosing function/lambda, or None at module level."""
-        current = self.parent(node)
-        while current is not None:
-            if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                return current
-            current = self.parent(current)
-        return None
 
     # ------------------------------------------------------------------ #
     # Suppressions

@@ -101,11 +101,6 @@ class MemoryStats:
     dependent_stall_cycles: float = 0.0
     per_structure_accesses: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def total_misses_to_dram(self) -> int:
-        """Number of requests served by DRAM."""
-        return self.dram_accesses
-
 
 class MemoryHierarchy:
     """Three-level inclusive cache hierarchy backed by DRAM."""
@@ -316,7 +311,6 @@ class AddressSpace:
     def __init__(self) -> None:
         self._next_base = self.PAGE
         self._bases: Dict[str, int] = {}
-        self._sizes: Dict[str, int] = {}
 
     def register(self, name: str, size_bytes: int) -> int:
         """Allocate (or look up) the base address for a structure."""
@@ -324,7 +318,6 @@ class AddressSpace:
             return self._bases[name]
         base = self._next_base
         self._bases[name] = base
-        self._sizes[name] = size_bytes
         pages = max(1, -(-size_bytes // self.PAGE))
         self._next_base += pages * self.PAGE
         return base
@@ -338,7 +331,3 @@ class AddressSpace:
     def structures(self) -> List[str]:
         """Names of all registered structures."""
         return list(self._bases)
-
-    def size_of(self, name: str) -> int:
-        """Registered size of a structure in bytes."""
-        return self._sizes[name]

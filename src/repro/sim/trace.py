@@ -60,6 +60,9 @@ KIND_WRITE = 2
 #: each buffered segment to ~17 MB regardless of workload size.
 DEFAULT_CHUNK_ACCESSES = 1 << 20
 
+#: One window of trace columns: ``(struct ids, byte offsets, kinds)``.
+Columns = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
 #: Environment variable overriding the chunk budget (``0`` = monolithic).
 #: Parsed by :meth:`repro.api.config.RuntimeConfig.from_env`, the library's
 #: single environment-reading site.
@@ -176,7 +179,7 @@ class TraceBuilder:
             raise ValueError("chunk_accesses must be positive (or None for monolithic)")
         self._names: List[str] = []
         self._ids: dict = {}
-        self._chunks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._chunks: List[Columns] = []
         self._buffered = 0
         self._total = 0
         self.sink = sink
@@ -223,27 +226,21 @@ class TraceBuilder:
             np.ascontiguousarray(kinds, dtype=np.uint8),
         )
 
-    def add_interleaved(self, columns) -> None:
-        """Append a round-robin interleave of equal-length homogeneous columns.
+    def add_windows(self, total: int, assemble: Callable[[int, int], Columns]) -> None:
+        """Append a ``total``-access trace in windows of the chunk budget.
 
-        ``columns`` is a sequence of ``(structure, offsets, kind)`` tuples; the
-        resulting segment is ``col0[0], col1[0], ..., col0[1], col1[1], ...``,
-        i.e. the access pattern of a loop body touching each structure once
-        per iteration.
+        ``assemble(lo, hi)`` returns the ``(ids, offsets, kinds)`` columns of
+        accesses ``[lo, hi)``. The first window tops up the partly filled
+        segment, so no append exceeds the budget and each later window
+        starts a fresh segment; a monolithic builder, or a trace that fits
+        the room left, takes one window and one append.
         """
-        offs = [np.ascontiguousarray(c[1], dtype=np.int64) for c in columns]
-        if not offs or offs[0].size == 0:
-            return
-        n = offs[0].size
-        width = len(columns)
-        ids = np.empty(n * width, dtype=np.int64)
-        offsets = np.empty(n * width, dtype=np.int64)
-        kinds = np.empty(n * width, dtype=np.uint8)
-        for slot, (structure, _, kind) in enumerate(columns):
-            ids[slot::width] = self.structure_id(structure)
-            offsets[slot::width] = offs[slot]
-            kinds[slot::width] = kind
-        self._append(ids, offsets, kinds)
+        lo = 0
+        while lo < total:
+            room = total if self.chunk_accesses is None else self.chunk_accesses - self._buffered
+            hi = min(total, lo + room)
+            self.add_columns(*assemble(lo, hi))
+            lo = hi
 
     def _append(self, ids: np.ndarray, offsets: np.ndarray, kinds: np.ndarray) -> None:
         """Record one buffered chunk and flush if the budget is reached."""

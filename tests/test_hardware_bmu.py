@@ -143,6 +143,12 @@ class TestBitmapManagementUnit:
         with pytest.raises(ValueError):
             BitmapManagementUnit(0)
 
+    def test_requires_at_least_one_buffer_per_group(self):
+        # With no buffer the window walk never advances, so a hardware SMASH
+        # kernel given this BMU would loop forever; refuse it up front.
+        with pytest.raises(ValueError):
+            BitmapManagementUnit(buffers_per_group=0)
+
     def test_reset_all_groups(self, medium_smash):
         bmu = BitmapManagementUnit()
         bmu.attach_matrix(medium_smash, 0)

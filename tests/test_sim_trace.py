@@ -79,7 +79,11 @@ class TestTraceBuilder:
     def test_homogeneous_and_interleaved_chunks(self):
         builder = TraceBuilder()
         builder.add("a", [0, 8, 16], KIND_STREAM)
-        builder.add_interleaved([("a", [24], KIND_STREAM), ("b", [0], KIND_DEPENDENT)])
+        builder.add_columns(
+            [builder.structure_id("a"), builder.structure_id("b")],
+            [24, 0],
+            [KIND_STREAM, KIND_DEPENDENT],
+        )
         builder.add_one("c", 8, KIND_WRITE)
         trace = builder.build()
         assert trace.structures == ["a", "b", "c"]
@@ -185,11 +189,13 @@ class TestTraceBuilder:
         """Chunked replay holds at most one segment of the trace at a time.
 
         NumPy reports its buffers to ``tracemalloc``, so the traced peak
-        covers the access columns. At dim 2048 the monolithic trace spans
-        several 64 Ki-access segments; at dim 1024 it fits in one and both
-        sides read the same, so the matrix must not shrink. The SMASH
-        kernels splice their scan accesses into windows of the budget, so
-        they must stay bounded too.
+        covers the access columns. Every monolithic trace must span at
+        least four 64 Ki-access segments (at SpMV dim 1024 it fits in one
+        and both sides read the same), so no matrix may shrink. The SMASH
+        SpMV kernels splice their scan accesses into windows of the budget,
+        and the SpMM kernels plan row windows of bounded size, so they must
+        stay bounded too. Each SpMM matrix is the smallest uniform 5%
+        matrix, in steps of 8 rows, whose trace spans four segments.
         """
         import tracemalloc
 
@@ -198,24 +204,33 @@ class TestTraceBuilder:
         from repro.sim.config import SimConfig
         from repro.workloads.synthetic import uniform_random_matrix
 
-        coo = uniform_random_matrix(2048, 2048, density=0.02, seed=3)
+        budget = 1 << 16
 
-        def traced(scheme, chunk):
+        def traced(kernel, scheme, coo, chunk):
             runtime = RuntimeConfig(processes=1, cache_dir=None, trace_chunk=chunk)
             with Session(sim=SimConfig.scaled(16), runtime=runtime) as session:
                 tracemalloc.start()
                 try:
-                    result = session.run_kernel("spmv", scheme, coo)
+                    result = session.run_kernel(kernel, scheme, coo)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
             return result.report.to_dict(), peak
 
-        for scheme in ("taco_csr", "smash_sw", "smash_hw"):
-            monolithic, monolithic_peak = traced(scheme, 0)
-            chunked, chunked_peak = traced(scheme, 1 << 16)
-            assert chunked == monolithic, scheme
-            assert chunked_peak < monolithic_peak / 2, (scheme, chunked_peak, monolithic_peak)
+        spmv = uniform_random_matrix(2048, 2048, density=0.02, seed=3)
+        cases = [("spmv", scheme, spmv) for scheme in ("taco_csr", "smash_sw", "smash_hw")]
+        cases += [
+            ("spmm", "taco_csr", uniform_random_matrix(112, 112, density=0.05, seed=3)),
+            ("spmm", "smash_hw", uniform_random_matrix(200, 200, density=0.05, seed=3)),
+        ]
+        for kernel, scheme, coo in cases:
+            tag = f"{kernel}/{scheme}"
+            monolithic, monolithic_peak = traced(kernel, scheme, coo, 0)
+            chunked, chunked_peak = traced(kernel, scheme, coo, budget)
+            assert chunked == monolithic, tag
+            accesses = sum(monolithic["per_structure_accesses"].values())
+            assert accesses > 3 * budget, (tag, accesses)
+            assert chunked_peak < monolithic_peak / 2, (tag, chunked_peak, monolithic_peak)
 
     def test_trace_validates_columns(self):
         with pytest.raises(ValueError):

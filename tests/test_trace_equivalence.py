@@ -430,13 +430,16 @@ def appended_sizes(monkeypatch, budget, fn, *args):
     """Run ``fn(*args, SIM)`` at chunk ``budget``; return its append sizes and output.
 
     Spies on :meth:`TraceBuilder.add_columns`, the append every batched
-    kernel's columns go through.
+    kernel's columns go through, and checks that no append overfills the
+    builder's partly filled segment.
     """
     sizes = []
     original = TraceBuilder.add_columns
 
     def spy(builder, struct_ids, offsets, kinds):
         sizes.append(len(struct_ids))
+        if builder.chunk_accesses is not None:
+            assert builder.n_accesses + len(struct_ids) <= builder.chunk_accesses
         return original(builder, struct_ids, offsets, kinds)
 
     monkeypatch.setattr(TraceBuilder, "add_columns", spy)
@@ -462,18 +465,112 @@ class TestSpMMTiling:
             assert len(sizes) > busy_rows, f"{name}: rows were not tiled"
             assert_reports_identical(report, reference(lhs, rhs, SIM)[1], name)
 
-    def test_oversized_pair_is_appended_alone(self, monkeypatch):
+    def test_oversized_pair_is_split_at_the_budget(self, monkeypatch):
         a_csr = coo_to_csr(COOMatrix.from_dense(np.ones((1, 64))))
         b_csc = coo_to_csc(COOMatrix.from_dense(np.ones((64, 2))))
         sizes, (_, report) = appended_sizes(
             monkeypatch, self.BUDGET, spmm.spmm_csr_instrumented, a_csr, b_csc
         )
-        # The row pointer, then each pair alone: its column pointer, 64
-        # matching steps of four accesses and its C write.
-        assert sizes == [1, 2 + 4 * 64, 2 + 4 * 64]
+        # The row pointer, then per pair its column pointer, 64 matching
+        # steps of four accesses and its C write: 517 accesses, appended
+        # in full budget-sized windows and the remainder.
+        assert sum(sizes) == 1 + 2 * (2 + 4 * 64)
+        assert sizes == [self.BUDGET] * 8 + [5]
         assert_reports_identical(
             report, legacy.spmm_csr_instrumented(a_csr, b_csc, SIM)[1], "oversized pair"
         )
+
+
+def _dense_rows(rows, cols, busy_rows):
+    dense = np.zeros((rows, cols))
+    dense[busy_rows] = 1.0
+    return COOMatrix.from_dense(dense)
+
+
+#: ``(A, B)`` COO operand pairs that corner the SpMM row-window planner (see
+#: ``TestSpMMWindowEdgeCases``).
+SPMM_EDGES = {
+    # Rows 1 and 4 of A and columns 1, 5, 9 and 10 of B are empty.
+    "empty_rows_and_columns": _edge_operands,
+    "all_zero_a": lambda: (
+        uniform_random_matrix(6, 16, density=0.0, seed=1),
+        uniform_random_matrix(16, 12, density=0.3, seed=2),
+    ),
+    "empty_b_columns": lambda: (
+        uniform_random_matrix(8, 16, density=0.3, seed=3),
+        _dense_rows(12, 16, [0, 3, 7]).transpose(),
+    ),
+    "non_square": lambda: (
+        uniform_random_matrix(3, 32, density=0.3, seed=4),
+        uniform_random_matrix(32, 5, density=0.3, seed=5),
+    ),
+    # Row 2 of A is dense: its planned accesses exceed every budget tried.
+    "dense_row": lambda: (
+        _dense_rows(5, 32, [2]),
+        uniform_random_matrix(32, 6, density=0.5, seed=6),
+    ),
+}
+
+
+class TestSpMMWindowEdgeCases:
+    """All six SpMM schemes == legacy on row-window corner cases.
+
+    Each case runs monolithic and at every ``CHUNK_SIZES`` budget. Reports
+    and ``C`` must equal the legacy kernel's exactly; no append may exceed
+    the budget, and a trace that fits the budget is a single append.
+    """
+
+    @pytest.mark.parametrize("config_name", ["b2.4", "b4"])
+    @pytest.mark.parametrize("case", sorted(SPMM_EDGES))
+    def test_matches_legacy(self, case, config_name, monkeypatch):
+        a, b = SPMM_EDGES[case]()
+        for batched, reference, lhs, rhs in _spmm_operands(a, b, SMASH_CONFIGS[config_name]):
+            c_ref, r_ref = reference(lhs, rhs, SIM)
+            for budget in (0,) + CHUNK_SIZES:
+                sizes, (c_new, r_new) = appended_sizes(monkeypatch, budget, batched, lhs, rhs)
+                tag = f"{case}/{config_name}/{batched.__name__}/budget {budget}"
+                assert_reports_identical(r_new, r_ref, tag)
+                assert c_new.tobytes() == c_ref.tobytes(), tag
+                if budget:
+                    assert max(sizes, default=0) <= budget, tag
+                if not budget or sum(sizes) <= budget:
+                    assert len(sizes) <= 1, tag
+
+    @pytest.mark.parametrize("window_steps", [1, 40])
+    def test_small_row_windows_match_legacy(self, window_steps, monkeypatch):
+        """Row windows cut anywhere change nothing.
+
+        Later windows must top up the segment earlier ones left partly
+        filled, which the spy in ``appended_sizes`` checks.
+        """
+        a, b = _edge_operands()
+        for batched, reference, lhs, rhs in _spmm_operands(a, b, SMASH_CONFIGS["b4"]):
+            c_ref, r_ref = reference(lhs, rhs, SIM)
+            for budget in (0,) + CHUNK_SIZES:
+                monkeypatch.setattr(spmm, "WINDOW_STEPS", window_steps)
+                sizes, (c_new, r_new) = appended_sizes(monkeypatch, budget, batched, lhs, rhs)
+                tag = f"{window_steps}/{batched.__name__}/budget {budget}"
+                assert_reports_identical(r_new, r_ref, tag)
+                assert c_new.tobytes() == c_ref.tobytes(), tag
+                assert len(sizes) > 1, tag
+
+    def test_cases_reach_their_corners(self, monkeypatch):
+        """Each case really has the shape its name promises."""
+        a, b = SPMM_EDGES["empty_rows_and_columns"]()
+        assert not a.to_dense().any(axis=1).all()
+        assert not b.to_dense().any(axis=0).all()
+        a, _ = SPMM_EDGES["all_zero_a"]()
+        assert a.rows and not a.to_dense().any()
+        _, b = SPMM_EDGES["empty_b_columns"]()
+        assert 0 < np.count_nonzero(b.to_dense().any(axis=0)) < b.cols
+        a, b = SPMM_EDGES["non_square"]()
+        assert len({a.rows, a.cols, b.cols}) == 3
+        a, b = SPMM_EDGES["dense_row"]()
+        sizes, _ = appended_sizes(
+            monkeypatch, 0, spmm.spmm_csr_instrumented, coo_to_csr(a), coo_to_csc(b)
+        )
+        # Every other row is a lone row-pointer load.
+        assert sizes[0] - (a.rows - 1) > max(CHUNK_SIZES)
 
 
 def _with_rows_cleared(coo, start, stop):
@@ -597,7 +694,12 @@ class TestBatchApiEquivalence:
         offs_b = rng.integers(0, 4096 // 8, 200) * 8
         one = self._fresh()
         builder = one.trace_builder()
-        builder.add_interleaved([("a", offs_a, 0), ("b", offs_b, 1)])
+        ids = np.empty(400, dtype=np.int64)
+        offsets = np.empty(400, dtype=np.int64)
+        kinds = np.empty(400, dtype=np.uint8)
+        ids[0::2], offsets[0::2], kinds[0::2] = builder.structure_id("a"), offs_a, 0
+        ids[1::2], offsets[1::2], kinds[1::2] = builder.structure_id("b"), offs_b, 1
+        builder.add_columns(ids, offsets, kinds)
         one.replay_trace(builder.build())
         two = self._fresh()
         for oa, ob in zip(offs_a, offs_b):
