@@ -23,8 +23,8 @@ The recommended entry point is the :mod:`repro.api` facade::
   typed job descriptions (kernel, scheme, workload, overrides) with
   cross-product builders and did-you-mean validation.
 * :class:`~repro.api.config.RuntimeConfig` — frozen execution knobs
-  (processes, cache, trace chunking); ``RuntimeConfig.from_env()`` is the
-  only place the environment is read.
+  (processes, cache, trace chunking); ``RuntimeConfig.from_env()`` builds
+  one from the environment, which only :mod:`repro.api.config` reads.
 * :class:`~repro.api.registry.Registry` — the plugin mechanism behind
   kernels, schemes, workload ids and experiments.
 
@@ -55,12 +55,12 @@ from repro.formats import CSRMatrix, CSCMatrix, COOMatrix, BCSRMatrix
 from repro.hardware import BitmapManagementUnit, SMASHISA
 from repro.sim import SimConfig
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 #: Facade classes loaded lazily (they pull in the evaluation stack).
 _LAZY = {
     name: "repro.api"
-    for name in ("Session", "JobSpec", "SweepSpec", "SweepResult", "Workload", "default_session")
+    for name in ("Session", "JobSpec", "SweepSpec", "SweepResult", "Workload")
 }
 
 __all__ = [

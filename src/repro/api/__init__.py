@@ -4,8 +4,8 @@ This package is the single public way to run anything:
 
 * :class:`~repro.api.config.RuntimeConfig` — frozen execution knobs
   (worker processes, report cache, trace chunk budget);
-  :meth:`~repro.api.config.RuntimeConfig.from_env` is the only place the
-  library reads the process environment.
+  :meth:`~repro.api.config.RuntimeConfig.from_env` builds one from the
+  process environment, which only :mod:`repro.api.config` reads.
 * :class:`~repro.api.session.Session` — owns the sweep engine (cache,
   executor) and executes declarative specs: ``run(spec) -> CostReport``,
   ``sweep(specs) -> SweepResult``.
@@ -38,7 +38,6 @@ from repro.api.registry import Registry, UnknownNameError, suggestion
 
 _LAZY = {
     "Session": "repro.api.session",
-    "default_session": "repro.api.session",
     "JobSpec": "repro.api.specs",
     "SweepSpec": "repro.api.specs",
     "SweepResult": "repro.api.specs",
@@ -52,7 +51,6 @@ __all__ = [
     "UnknownNameError",
     "suggestion",
     "Session",
-    "default_session",
     "JobSpec",
     "SweepSpec",
     "SweepResult",

@@ -1,14 +1,17 @@
 """Runtime configuration of the facade: the one place the environment is read.
 
-Every runtime knob that used to live in a scattered ``os.environ`` read —
-the worker-process count (``SMASH_REPRO_PROCESSES``), the trace chunk budget
-(``SMASH_REPRO_TRACE_CHUNK``), the report-cache location/enablement
-(``SMASH_REPRO_CACHE_DIR`` / ``SMASH_REPRO_CACHE``), and the sweep-service
-bind address (``SMASH_REPRO_SERVICE_HOST`` / ``SMASH_REPRO_SERVICE_PORT``) —
-is a field of the frozen :class:`RuntimeConfig`.
-:meth:`RuntimeConfig.from_env` is the *only* code in the library that reads
-``os.environ``; everything else (the sweep runner,
-the trace engine, the CLI) receives an explicit, validated value.
+Every runtime knob — the worker-process count (``SMASH_REPRO_PROCESSES``),
+the trace chunk budget (``SMASH_REPRO_TRACE_CHUNK``), the report-cache
+location/enablement (``SMASH_REPRO_CACHE_DIR`` / ``SMASH_REPRO_CACHE``), the
+sweep-service bind address (``SMASH_REPRO_SERVICE_HOST`` /
+``SMASH_REPRO_SERVICE_PORT``) and the result-store index
+(``SMASH_REPRO_STORE`` / ``SMASH_REPRO_STORE_INDEX``) — is a field of the
+frozen :class:`RuntimeConfig`. This module is the only code in the library
+that reads ``os.environ``: :meth:`RuntimeConfig.from_env` resolves every
+knob for the front doors (the :class:`~repro.api.session.Session`, the
+CLIs), and :func:`trace_chunk_from_env` resolves the chunk budget alone for
+kernels called outside a Session. Everything else (the sweep runner, the
+trace engine) receives an explicit, validated value.
 
 None of these knobs can change a result: processes and cache only affect
 where/whether a job executes, the chunk budget only bounds peak replay
@@ -80,6 +83,32 @@ def _parse_int(raw: str, origin: str) -> int:
         raise ValueError(f"{origin} must be an integer, got {raw!r}") from None
 
 
+def _checked_trace_chunk(chunk: object) -> Optional[int]:
+    """Validate a chunk budget; 0 and ``None`` both mean monolithic replay."""
+    if chunk is None:
+        return None
+    if isinstance(chunk, bool) or not isinstance(chunk, int):
+        raise ValueError(f"trace chunk budget must be an integer, got {chunk!r}")
+    if chunk < 0:
+        raise ValueError(f"trace chunk budget must be non-negative, got {chunk}")
+    # 0 is the documented spelling of "monolithic" in the environment knob;
+    # normalize so there is one falsy value.
+    return chunk or None
+
+
+def trace_chunk_from_env() -> Optional[int]:
+    """The chunk budget from ``SMASH_REPRO_TRACE_CHUNK`` alone, validated.
+
+    Reads no other variable, so a malformed unrelated knob (say
+    ``SMASH_REPRO_SERVICE_PORT``) cannot break a kernel that only needs the
+    chunk budget. Unset means :data:`DEFAULT_CHUNK_ACCESSES`.
+    """
+    raw = os.environ.get(CHUNK_ENV_VAR, "").strip()
+    return _checked_trace_chunk(
+        _parse_int(raw, CHUNK_ENV_VAR) if raw else DEFAULT_CHUNK_ACCESSES
+    )
+
+
 @dataclass(frozen=True)
 class RuntimeConfig:
     """How (not what) to execute: workers, report cache, trace chunking.
@@ -118,16 +147,7 @@ class RuntimeConfig:
             raise ValueError(
                 f"worker process count must be at least 1, got {self.processes}"
             )
-        if self.trace_chunk is not None:
-            chunk = self.trace_chunk
-            if isinstance(chunk, bool) or not isinstance(chunk, int):
-                raise ValueError(f"trace chunk budget must be an integer, got {chunk!r}")
-            if chunk < 0:
-                raise ValueError(f"trace chunk budget must be non-negative, got {chunk}")
-            if chunk == 0:
-                # 0 is the documented spelling of "monolithic" in the
-                # environment knob; normalize so there is one falsy value.
-                object.__setattr__(self, "trace_chunk", None)
+        object.__setattr__(self, "trace_chunk", _checked_trace_chunk(self.trace_chunk))
         if not isinstance(self.replay_profile, bool):
             raise ValueError(
                 f"replay profile flag must be a bool, got {self.replay_profile!r}"
@@ -173,11 +193,10 @@ class RuntimeConfig:
     ) -> "RuntimeConfig":
         """Build a config from the environment, explicit arguments winning.
 
-        This classmethod is the single site in the library that reads
-        ``os.environ``. Each keyword, when passed (e.g. from a CLI flag),
-        takes precedence over its environment variable; an invalid value —
-        explicit or environmental — raises ``ValueError`` with a message
-        naming the offending knob.
+        Each keyword, when passed (e.g. from a CLI flag), takes precedence
+        over its environment variable; an invalid value — explicit or
+        environmental — raises ``ValueError`` with a message naming the
+        offending knob.
         """
         if processes is None:
             raw = os.environ.get(PROCESSES_ENV_VAR, "").strip()
@@ -188,8 +207,7 @@ class RuntimeConfig:
             else:
                 cache_dir = os.environ.get(CACHE_DIR_ENV_VAR, "").strip() or DEFAULT_CACHE_DIR
         if trace_chunk is _UNSET:
-            raw = os.environ.get(CHUNK_ENV_VAR, "").strip()
-            trace_chunk = _parse_int(raw, CHUNK_ENV_VAR) if raw else DEFAULT_CHUNK_ACCESSES
+            trace_chunk = trace_chunk_from_env()
         if replay_profile is None:
             raw = os.environ.get(REPLAY_PROFILE_ENV_VAR, "").strip().lower()
             replay_profile = bool(raw) and raw not in _FALSY

@@ -14,7 +14,9 @@ declaratively as :class:`~repro.api.specs.JobSpec` /
 :meth:`sweep` (blocking) or :meth:`submit` (a future per spec, safe from
 any thread — the seam the ``repro.service`` daemon is built on); ad-hoc
 in-memory matrices (not content-addressable, hence uncacheable) run
-through :meth:`run_kernel`.
+through :meth:`run_kernel`. A Session is the library's one front door,
+and the sweep engine it owns is always built from its
+:class:`~repro.api.config.RuntimeConfig`.
 
 Typical use::
 
@@ -35,17 +37,16 @@ cache (DESIGN.md sections 9-11).
 
 from __future__ import annotations
 
-import atexit
 import threading
 from concurrent.futures import Future
 from concurrent.futures import as_completed as _as_completed
-from typing import Iterable, Iterator, Optional, Union, cast
+from typing import Iterable, Iterator, Optional, Union
 
 from repro.api.config import RuntimeConfig
 from repro.api.registry import UnknownNameError, suggestion
 from repro.api.specs import JobSpec, SweepResult, SweepSpec
 from repro.core.config import SMASHConfig
-from repro.eval.runner import USE_ENV_CHUNK, SweepRunner, SweepStats
+from repro.eval.runner import SweepRunner, SweepStats
 from repro.sim import trace as _trace
 from repro.sim.config import SimConfig
 from repro.sim.instrumentation import CostReport
@@ -58,9 +59,7 @@ class Session:
     ``sim`` defaults to the paper's Table 2 machine
     (:meth:`SimConfig.default`); ``runtime`` defaults to
     :meth:`RuntimeConfig.from_env`, so a bare ``Session()`` honours the
-    documented environment knobs. Pass ``runner`` to wrap an existing
-    :class:`SweepRunner` (sharing its cache and statistics) instead of
-    constructing one.
+    documented environment knobs.
     """
 
     def __init__(
@@ -68,8 +67,6 @@ class Session:
         sim: Optional[SimConfig] = None,
         smash: Optional[SMASHConfig] = None,
         runtime: Optional[RuntimeConfig] = None,
-        *,
-        runner: Optional[SweepRunner] = None,
     ) -> None:
         self.sim = sim if sim is not None else SimConfig.default()
         self.smash = smash
@@ -79,41 +76,18 @@ class Session:
         # threads needs no coordination.
         self._lock = threading.Lock()
         self._closed = False
-        if runner is not None:
-            if runtime is not None:
-                raise ValueError("pass either runtime or runner, not both")
-            env_defaults = RuntimeConfig.from_env(processes=1, cache_dir=None)
-            self.runtime = RuntimeConfig(
-                processes=runner.processes,
-                cache_dir=runner.cache.root if runner.cache is not None else None,
-                # The runner's knobs are ``object``-typed sentinels-or-values;
-                # past the sentinel checks they are the real field types.
-                trace_chunk=(
-                    cast(Optional[int], runner.trace_chunk)
-                    if runner.trace_chunk is not USE_ENV_CHUNK
-                    else env_defaults.trace_chunk
-                ),
-                replay_profile=runner.replay_profile,
-            )
-            self._runner = runner
-        else:
-            self.runtime = runtime if runtime is not None else RuntimeConfig.from_env()
-            self._runner = SweepRunner(
-                processes=self.runtime.processes,
-                cache_dir=self.runtime.cache_dir,
-                trace_chunk=self.runtime.trace_chunk,
-                replay_profile=self.runtime.replay_profile,
-            )
+        self.runtime = runtime if runtime is not None else RuntimeConfig.from_env()
+        self._runner = SweepRunner(
+            processes=self.runtime.processes,
+            cache_dir=self.runtime.cache_dir,
+            trace_chunk=self.runtime.trace_chunk,
+            replay_profile=self.runtime.replay_profile,
+        )
         # Keep the result-store index warm: every report the cache persists
         # is ingested into the sqlite index as it lands (repro.store;
         # DESIGN.md section 16). Derived data only — queries and the
-        # service's GET /query read it, results never do — and wrapped
-        # runners keep whatever indexer they already carry.
-        if (
-            self.runtime.store_ingest
-            and self._runner.cache is not None
-            and self._runner.cache.indexer is None
-        ):
+        # service's GET /query read it, results never do.
+        if self.runtime.store_ingest and self._runner.cache is not None:
             attach_indexer(self._runner.cache, index_path=self.runtime.store_index)
 
     @property
@@ -247,33 +221,3 @@ class Session:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Session({self.runtime.describe()})"
-
-
-_default_session: Optional[Session] = None
-_default_session_lock = threading.Lock()
-
-
-def default_session() -> Session:
-    """The process-wide Session backing the deprecated module-level runners.
-
-    Created on first use with environment-derived runtime configuration and
-    the default simulated machine. Creation is guarded by a lock (two
-    threads racing through the deprecation shims get one Session, not a
-    leaked pool each) and registers an ``atexit`` hook, so the shim pool is
-    drained and shut down at interpreter exit instead of leaking.
-    """
-    global _default_session
-    with _default_session_lock:
-        if _default_session is None:
-            _default_session = Session()
-            atexit.register(_close_default_session)
-        return _default_session
-
-
-def _close_default_session() -> None:
-    """Close and forget the shim Session (atexit hook; safe to call twice)."""
-    global _default_session
-    with _default_session_lock:
-        session, _default_session = _default_session, None
-    if session is not None:
-        session.close()

@@ -12,8 +12,9 @@ configuration) matrix as :class:`~repro.api.specs.JobSpec` /
 :class:`~repro.api.specs.SweepSpec` values, submits it through a
 :class:`~repro.api.session.Session` (serial and uncached by default; pass
 ``session=Session(runtime=RuntimeConfig(processes=N, cache_dir=...))`` for
-parallel and/or incremental execution) and assembles the figure from the
-returned :class:`~repro.api.specs.SweepResult`. Identical jobs — e.g. the
+parallel and/or incremental execution; ``session`` is a driver's only
+execution argument) and assembles the figure from the returned
+:class:`~repro.api.specs.SweepResult`. Identical jobs — e.g. the
 ``taco_csr`` baselines shared between figures — are deduplicated by the
 session's sweep engine and memoized on disk when a cache is enabled. Spec
 lowering reuses the historical job constructors, so cache keys (and
@@ -33,7 +34,6 @@ from repro.core.config import SMASHConfig
 from repro.core.conversion import csr_to_smash, estimate_conversion_cost, smash_to_csr
 from repro.core.smash_matrix import SMASHMatrix
 from repro.eval.comparison import arithmetic_mean, geometric_mean
-from repro.eval.runner import SweepRunner
 from repro.formats.convert import coo_to_csr
 from repro.graphs.generators import GRAPH_SPECS, generate_graph, get_graph_spec
 from repro.hardware.area import AreaModel
@@ -74,19 +74,13 @@ def _suite(keys: Optional[Iterable[str]]) -> List:
     return [get_spec(key) for key in (keys or ALL_MATRICES)]
 
 
-def _session(session: Optional[Session] = None, runner: Optional[SweepRunner] = None) -> Session:
+def _session(session: Optional[Session] = None) -> Session:
     """The Session to submit specs through.
 
-    ``session`` wins; a bare ``runner`` (the pre-facade calling convention,
-    still used by tests and embedders holding a :class:`SweepRunner`) is
-    wrapped. The default is serial and uncached, honouring the environment
-    knobs for worker count and trace chunking.
+    The default is serial and uncached, honouring the environment knobs
+    for worker count and trace chunking.
     """
-    if session is not None:
-        return session
-    if runner is not None:
-        return Session(runner=runner)
-    return Session(runtime=RuntimeConfig.from_env(cache_dir=None))
+    return session or Session(runtime=RuntimeConfig.from_env(cache_dir=None))
 
 
 # --------------------------------------------------------------------------- #
@@ -97,11 +91,10 @@ def experiment_fig3(
     spmv_dim: Optional[int] = DEFAULT_SPMV_DIM,
     spmm_dim: int = DEFAULT_SPMM_DIM,
     cache_scale: int = DEFAULT_CACHE_SCALE,
-    runner: Optional[SweepRunner] = None,
     session: Optional[Session] = None,
 ) -> Dict:
     """Speedup and normalized instructions of Ideal CSR over CSR (Figure 3)."""
-    engine = _session(session, runner)
+    engine = _session(session)
     kernels = {"spadd": spmv_dim, "spmv": spmv_dim, "spmm": spmm_dim}
     specs = [
         JobSpec(kernel, scheme, Workload.suite(spec.key, dim))
@@ -204,7 +197,6 @@ def experiment_fig9(
     keys: Optional[Sequence[str]] = None,
     spmv_dim: Optional[int] = DEFAULT_SPMV_DIM,
     spmm_dim: int = DEFAULT_SPMM_DIM,
-    runner: Optional[SweepRunner] = None,
     session: Optional[Session] = None,
 ) -> Dict:
     """Software-only schemes normalized to TACO-CSR (Figure 9).
@@ -214,7 +206,7 @@ def experiment_fig9(
     counts, exactly as on the paper's Xeon where the working sets are
     cache-resident relative to its large caches.
     """
-    engine = _session(session, runner)
+    engine = _session(session)
     specs = [
         JobSpec(kernel, scheme, Workload.suite(spec.key, dim), smash=spec.smash_config())
         for kernel, dim in (("spmv", spmv_dim), ("spmm", spmm_dim))
@@ -281,13 +273,12 @@ def _kernel_sweep(
     dim: Optional[int],
     cache_scale: int,
     schemes: Sequence[str] = MAIN_SCHEMES,
-    runner: Optional[SweepRunner] = None,
     session: Optional[Session] = None,
 ) -> Dict:
     """Per-matrix scheme sweep for one kernel, normalized to ``taco_csr``."""
     if "taco_csr" not in schemes:
         raise ValueError("the scheme sweep needs the 'taco_csr' baseline")
-    engine = _session(session, runner)
+    engine = _session(session)
     sweep, sim = kernel_sweep_specs(
         kernel, keys=keys, dim=dim, cache_scale=cache_scale, schemes=schemes
     )
@@ -320,12 +311,11 @@ def experiment_fig10_11(
     dim: Optional[int] = DEFAULT_SPMV_DIM,
     cache_scale: int = DEFAULT_CACHE_SCALE,
     schemes: Sequence[str] = MAIN_SCHEMES,
-    runner: Optional[SweepRunner] = None,
     session: Optional[Session] = None,
 ) -> Dict:
     """SpMV speedup (Fig. 10) and instruction count (Fig. 11) per matrix."""
     data = _kernel_sweep(
-        "spmv", keys, dim, cache_scale, schemes=schemes, runner=runner, session=session
+        "spmv", keys, dim, cache_scale, schemes=schemes, session=session
     )
     data.update(
         {
@@ -345,12 +335,11 @@ def experiment_fig12_13(
     dim: int = DEFAULT_SPMM_DIM,
     cache_scale: int = DEFAULT_CACHE_SCALE,
     schemes: Sequence[str] = MAIN_SCHEMES,
-    runner: Optional[SweepRunner] = None,
     session: Optional[Session] = None,
 ) -> Dict:
     """SpMM speedup (Fig. 12) and instruction count (Fig. 13) per matrix."""
     data = _kernel_sweep(
-        "spmm", keys, dim, cache_scale, schemes=schemes, runner=runner, session=session
+        "spmm", keys, dim, cache_scale, schemes=schemes, session=session
     )
     data.update(
         {
@@ -370,7 +359,6 @@ def experiment_spadd(
     dim: Optional[int] = DEFAULT_SPMV_DIM,
     cache_scale: int = DEFAULT_CACHE_SCALE,
     schemes: Sequence[str] = SPADD_SCHEMES,
-    runner: Optional[SweepRunner] = None,
     session: Optional[Session] = None,
 ) -> Dict:
     """SpAdd scheme sweep in the style of the main figures.
@@ -381,7 +369,7 @@ def experiment_spadd(
     implements it, for scenario coverage beyond the paper.
     """
     data = _kernel_sweep(
-        "spadd", keys, dim, cache_scale, schemes=schemes, runner=runner, session=session
+        "spadd", keys, dim, cache_scale, schemes=schemes, session=session
     )
     data.update(
         {
@@ -405,13 +393,12 @@ def experiment_fig14_15(
     dim: Optional[int] = None,
     ratios: Sequence[int] = (2, 4, 8),
     cache_scale: int = DEFAULT_CACHE_SCALE,
-    runner: Optional[SweepRunner] = None,
     session: Optional[Session] = None,
 ) -> Dict:
     """SMASH speedup sensitivity to the Bitmap-0 compression ratio."""
     if kernel not in ("spmv", "spmm"):
         raise ValueError("kernel must be 'spmv' or 'spmm'")
-    engine = _session(session, runner)
+    engine = _session(session)
     dim = dim or (DEFAULT_SPMV_DIM if kernel == "spmv" else DEFAULT_SPMM_DIM)
     specs = [
         JobSpec(
@@ -457,7 +444,6 @@ def experiment_fig16_17(
     localities: Sequence[float] = (12.5, 25, 37.5, 50, 62.5, 75, 87.5, 100),
     block_size: int = 8,
     cache_scale: int = DEFAULT_CACHE_SCALE,
-    runner: Optional[SweepRunner] = None,
     session: Optional[Session] = None,
 ) -> Dict:
     """SMASH speedup vs locality of sparsity for selected matrices.
@@ -468,7 +454,7 @@ def experiment_fig16_17(
     """
     if kernel not in ("spmv", "spmm"):
         raise ValueError("kernel must be 'spmv' or 'spmm'")
-    engine = _session(session, runner)
+    engine = _session(session)
     dim = dim or (256 if kernel == "spmv" else DEFAULT_SPMM_DIM)
     specs, points = [], []
     for key in keys:
@@ -521,11 +507,10 @@ def experiment_fig18(
     bc_sources: int = 4,
     cache_scale: int = DEFAULT_CACHE_SCALE,
     smash_config: Optional[SMASHConfig] = None,
-    runner: Optional[SweepRunner] = None,
     session: Optional[Session] = None,
 ) -> Dict:
     """PageRank and Betweenness Centrality, SMASH vs CSR (Figure 18)."""
-    engine = _session(session, runner)
+    engine = _session(session)
     config = smash_config or SMASHConfig((2, 4, 16))
     apps = (("pagerank", {"iterations": pagerank_iterations}), ("bc", {"max_sources": bc_sources}))
     graph_keys = list(keys or ALL_GRAPHS)
@@ -666,7 +651,6 @@ def experiment_fig20(
     n_vertices: int = DEFAULT_GRAPH_VERTICES,
     pagerank_iterations: int = 40,
     cache_scale: int = DEFAULT_CACHE_SCALE,
-    runner: Optional[SweepRunner] = None,
     session: Optional[Session] = None,
 ) -> Dict:
     """End-to-end execution breakdown with CSR<->SMASH conversion (Figure 20).
@@ -677,7 +661,7 @@ def experiment_fig20(
     same way. The kernel runs go through the sweep engine; the (cheap,
     structural) conversion-cost estimates are computed in-driver.
     """
-    engine = _session(session, runner)
+    engine = _session(session)
     sim = _sim_config(cache_scale)
     breakdown: Dict[str, Dict[str, float]] = {}
 
@@ -760,7 +744,6 @@ def experiment_scale(
     dims: Sequence[int] = (512, 1024, 2048, 4096),
     schemes: Sequence[str] = ("taco_csr", "smash_hw"),
     cache_scale: int = DEFAULT_CACHE_SCALE,
-    runner: Optional[SweepRunner] = None,
     session: Optional[Session] = None,
 ) -> Dict:
     """SpMV dimension sweep at sizes beyond the monolithic trace engine.
@@ -780,7 +763,7 @@ def experiment_scale(
 
     if "taco_csr" not in schemes:
         raise ValueError("the scale sweep needs the 'taco_csr' baseline")
-    engine = _session(session, runner)
+    engine = _session(session)
     specs, points = [], []
     for key in keys:
         spec = get_spec(key)

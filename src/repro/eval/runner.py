@@ -55,7 +55,7 @@ from concurrent.futures import wait as _futures_wait
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.api.config import DEFAULT_CACHE_DIR, PROCESSES_ENV_VAR, RuntimeConfig
+from repro.api.config import DEFAULT_CACHE_DIR, RuntimeConfig
 from repro.core.config import SMASHConfig
 from repro.sim import _replay_core
 from repro.sim import trace as _trace
@@ -394,17 +394,6 @@ class SweepStats:
         )
 
 
-def resolve_processes(processes: Optional[int] = None) -> int:
-    """The effective worker count: explicit value, else env var, else 1.
-
-    Delegates to :meth:`RuntimeConfig.from_env` — the library's single
-    environment-reading site — so explicit values take precedence over
-    ``SMASH_REPRO_PROCESSES`` and non-positive or non-integer values fail
-    with a clear ``ValueError`` naming the offending knob.
-    """
-    return RuntimeConfig.from_env(processes=processes).processes
-
-
 def _init_worker_chunk(chunk: Optional[int]) -> None:
     """Worker-pool initializer: pin the runner's trace-chunk override.
 
@@ -426,11 +415,13 @@ class SweepRunner:
     the on-disk cache (in-batch deduplication still applies). ``trace_chunk``
     pins the bounded-memory replay budget for this runner's jobs — serial
     execution wraps a process-local override, pool workers are initialized
-    with it — while the :data:`USE_ENV_CHUNK` default defers to the
-    environment knob. ``replay_profile`` collects per-phase replay
-    wall-clock of serial execution into :attr:`last_profile`; ``None``
-    defers it to its environment variable. Results are independent of all
-    four knobs. Pooled misses travel in chunks of
+    with it — while the :data:`USE_ENV_CHUNK` default leaves each process
+    on the ``SMASH_REPRO_TRACE_CHUNK`` budget. ``replay_profile`` collects
+    per-phase replay wall-clock of serial execution into
+    :attr:`last_profile`. The runner reads no environment itself: a
+    :class:`~repro.api.session.Session` resolves its knobs into a
+    :class:`~repro.api.config.RuntimeConfig` and passes them in. Results
+    are independent of all four knobs. Pooled misses travel in chunks of
     :meth:`_effective_pool_chunk` jobs per pool task, and every chunk runs
     the same per-job loop as serial execution. A worker killed mid-sweep
     breaks the pool; the runner then replaces the pool and re-dispatches
@@ -452,23 +443,18 @@ class SweepRunner:
 
     def __init__(
         self,
-        processes: Optional[int] = None,
+        processes: int = 1,
         cache_dir: Optional[Union[str, pathlib.Path]] = None,
         trace_chunk: object = USE_ENV_CHUNK,
-        replay_profile: Optional[bool] = None,
+        replay_profile: bool = False,
     ) -> None:
-        self.processes = resolve_processes(processes)
+        # RuntimeConfig holds the one copy of the knob checks.
+        RuntimeConfig(processes=processes, replay_profile=replay_profile)
+        self.processes = processes
         self.cache = ReportCache(cache_dir) if cache_dir is not None else None
         self.stats = SweepStats()
         self.trace_chunk = trace_chunk
-        # Validate through RuntimeConfig (also the env fallback for None).
-        resolved = RuntimeConfig.from_env(
-            processes=1,
-            cache_dir=None,
-            trace_chunk=None,
-            replay_profile=replay_profile,
-        )
-        self.replay_profile = resolved.replay_profile
+        self.replay_profile = replay_profile
         #: Per-phase replay seconds of the last :meth:`run` call's serial
         #: execution (``None`` until a profiled run happens).
         self.last_profile: Optional[Dict[str, float]] = None
@@ -829,10 +815,6 @@ class SweepRunner:
                 self._execute_owned_serial(owned)
 
         return [CostReport.from_dict(futures[key].result()) for key in keys]
-
-    def run_one(self, job: Job) -> CostReport:
-        """Convenience wrapper for a single job."""
-        return self.run([job])[0]
 
 
 def _report_future(payload_future: "Future[Dict]") -> "Future[CostReport]":

@@ -63,9 +63,6 @@ from repro.kernels.schemes import (
     SCHEMES,
     KernelResult,
     prepare_operand,
-    run_spmv,
-    run_spmm,
-    run_spadd,
 )
 
 __all__ = [
@@ -94,9 +91,6 @@ __all__ = [
     "SCHEMES",
     "KernelResult",
     "prepare_operand",
-    "run_spmv",
-    "run_spmm",
-    "run_spadd",
     "register_kernel",
     "get_kernel",
     "kernels_for",

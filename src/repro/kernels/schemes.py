@@ -19,18 +19,13 @@ Scheme names follow the paper's figures and are registered in
 :class:`repro.api.registry.Registry`), so an unknown or misspelled scheme
 fails at the boundary with a did-you-mean error.
 
-The historical module-level entry points :func:`run_spmv` / :func:`run_spmm`
-/ :func:`run_spadd` are retained as deprecation shims that delegate to a
-default :class:`repro.api.Session`; new code should construct a Session.
-
 Randomized inputs (currently only SpMV's ``x`` vector) are derived from a
-single seed handled uniformly by all three entry points: pass ``seed`` to
+single seed handled uniformly by all three runners: pass ``seed`` to
 change it, or pass explicit operands to bypass generation entirely.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,7 +42,7 @@ from repro.sim.config import SimConfig
 from repro.sim.instrumentation import CostReport
 
 #: Registry of scheme identifiers; the registered object is the scheme's
-#: human-readable display name used in reports and benchmark output.
+#: human-readable display name (the paper's label).
 SCHEME_REGISTRY = Registry("scheme")
 SCHEME_REGISTRY.register("taco_csr", "TACO-CSR")
 SCHEME_REGISTRY.register("taco_bcsr", "TACO-BCSR")
@@ -122,9 +117,9 @@ def prepare_operand(
 
 # --------------------------------------------------------------------------- #
 # Internal runners (the execution path of Session.run_kernel and the sweep
-# engine; free of deprecation warnings)
+# engine)
 # --------------------------------------------------------------------------- #
-def _run_spmv(
+def _spmv_runner(
     scheme: str,
     coo: COOMatrix,
     x: Optional[np.ndarray] = None,
@@ -145,7 +140,7 @@ def _run_spmv(
     return KernelResult(scheme=scheme, kernel="spmv", output=output, report=report)
 
 
-def _run_spmm(
+def _spmm_runner(
     scheme: str,
     a_coo: COOMatrix,
     b_coo: Optional[COOMatrix] = None,
@@ -155,7 +150,7 @@ def _run_spmm(
 ) -> KernelResult:
     """Run one scheme's instrumented SpMM (``B`` defaults to ``A``).
 
-    ``seed`` is accepted for signature uniformity with :func:`_run_spmv`;
+    ``seed`` is accepted for signature uniformity with :func:`_spmv_runner`;
     SpMM generates no random operands today, so it is currently unused.
     """
     _require_scheme(scheme)
@@ -167,7 +162,7 @@ def _run_spmm(
     return KernelResult(scheme=scheme, kernel="spmm", output=output, report=report)
 
 
-def _run_spadd(
+def _spadd_runner(
     scheme: str,
     a_coo: COOMatrix,
     b_coo: Optional[COOMatrix] = None,
@@ -179,7 +174,7 @@ def _run_spadd(
 
     Only the schemes used in the motivation experiment (Figure 3) and the
     SMASH hardware variant are available for sparse addition. ``seed`` is
-    accepted for signature uniformity with :func:`_run_spmv`; sparse addition
+    accepted for signature uniformity with :func:`_spmv_runner`; sparse addition
     generates no random operands today, so it is currently unused.
     """
     _require_scheme(scheme)
@@ -192,76 +187,4 @@ def _run_spadd(
 
 
 #: Internal dispatch used by :meth:`repro.api.Session.run_kernel`.
-KERNEL_RUNNERS = {"spmv": _run_spmv, "spmm": _run_spmm, "spadd": _run_spadd}  # repro-lint: disable=RL005 -- closed three-kernel set validated upstream by KERNEL_KINDS; part of the stable job-key lowering, not user-facing dispatch
-
-
-# --------------------------------------------------------------------------- #
-# Deprecation shims
-# --------------------------------------------------------------------------- #
-def _deprecated_run(kernel: str, scheme: str, *operands, **kwargs) -> KernelResult:
-    warnings.warn(
-        f"run_{kernel} is deprecated; use repro.api.Session "
-        f"(session.run(JobSpec(...)) or session.run_kernel({kernel!r}, ...))",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    from repro.api.session import default_session
-
-    return default_session().run_kernel(
-        kernel,
-        scheme,
-        *operands,
-        smash=kwargs.get("smash_config"),
-        sim=kwargs.get("sim_config"),
-        seed=kwargs.get("seed", DEFAULT_SEED),
-        **({"x": kwargs["x"]} if kwargs.get("x") is not None else {}),
-    )
-
-
-def run_spmv(
-    scheme: str,
-    coo: COOMatrix,
-    x: Optional[np.ndarray] = None,
-    smash_config: Optional[SMASHConfig] = None,
-    sim_config: Optional[SimConfig] = None,
-    seed: int = DEFAULT_SEED,
-) -> KernelResult:
-    """Deprecated: use :meth:`repro.api.Session.run_kernel` (``"spmv"``)."""
-    return _deprecated_run(
-        "spmv", scheme, coo, x=x, smash_config=smash_config, sim_config=sim_config, seed=seed
-    )
-
-
-def run_spmm(
-    scheme: str,
-    a_coo: COOMatrix,
-    b_coo: Optional[COOMatrix] = None,
-    smash_config: Optional[SMASHConfig] = None,
-    sim_config: Optional[SimConfig] = None,
-    seed: int = DEFAULT_SEED,
-) -> KernelResult:
-    """Deprecated: use :meth:`repro.api.Session.run_kernel` (``"spmm"``)."""
-    operands = (a_coo,) if b_coo is None else (a_coo, b_coo)
-    return _deprecated_run(
-        "spmm", scheme, *operands, smash_config=smash_config, sim_config=sim_config, seed=seed
-    )
-
-
-def run_spadd(
-    scheme: str,
-    a_coo: COOMatrix,
-    b_coo: Optional[COOMatrix] = None,
-    smash_config: Optional[SMASHConfig] = None,
-    sim_config: Optional[SimConfig] = None,
-    seed: int = DEFAULT_SEED,
-) -> KernelResult:
-    """Deprecated: use :meth:`repro.api.Session.run_kernel` (``"spadd"``)."""
-    operands = (a_coo,) if b_coo is None else (a_coo, b_coo)
-    return _deprecated_run(
-        "spadd", scheme, *operands, smash_config=smash_config, sim_config=sim_config, seed=seed
-    )
-
-
-def scheme_display_name(scheme: str) -> str:
-    """Human-readable name used in reports and benchmark output."""
-    return SCHEME_REGISTRY.get(scheme) if scheme in SCHEME_REGISTRY else scheme
+KERNEL_RUNNERS = {"spmv": _spmv_runner, "spmm": _spmm_runner, "spadd": _spadd_runner}  # repro-lint: disable=RL005 -- closed three-kernel set validated upstream by KERNEL_KINDS; part of the stable job-key lowering, not user-facing dispatch

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -257,13 +257,6 @@ class MemoryHierarchy:
             self.stats.stall_cycles += stall
             added += stall
         return added
-
-    def access_many(self, requests: Iterable[MemoryRequest]) -> float:
-        """Replay a sequence of requests; return the accumulated stall cycles."""
-        total = 0.0
-        for request in requests:
-            total += self.access(request)
-        return total
 
     # ------------------------------------------------------------------ #
     # Bookkeeping

@@ -64,13 +64,13 @@ DEFAULT_CHUNK_ACCESSES = 1 << 20
 Columns = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 #: Environment variable overriding the chunk budget (``0`` = monolithic).
-#: Parsed by :meth:`repro.api.config.RuntimeConfig.from_env`, the library's
-#: single environment-reading site.
+#: Parsed by :func:`repro.api.config.trace_chunk_from_env`, in the library's
+#: single environment-reading module.
 CHUNK_ENV_VAR = "SMASH_REPRO_TRACE_CHUNK"
 
-#: Process-wide chunk override installed by a Session/SweepRunner carrying an
-#: explicit :class:`~repro.api.config.RuntimeConfig`; the sentinel means "no
-#: override, fall back to the environment default".
+#: Process-wide chunk override installed by a Session or a SweepRunner that
+#: pins a budget; the sentinel means "no override, fall back to the
+#: environment default".
 _NO_OVERRIDE = object()
 _chunk_override: object = _NO_OVERRIDE
 
@@ -107,12 +107,9 @@ def trace_chunk_accesses() -> Optional[int]:
     """
     if _chunk_override is not _NO_OVERRIDE:
         return _chunk_override  # type: ignore[return-value]
-    from repro.api.config import RuntimeConfig
+    from repro.api.config import trace_chunk_from_env
 
-    # Explicit arguments suppress the other knobs' environment reads, so a
-    # malformed SMASH_REPRO_PROCESSES cannot break a serial kernel run that
-    # only needs the chunk budget.
-    return RuntimeConfig.from_env(processes=1, cache_dir=None).trace_chunk
+    return trace_chunk_from_env()
 
 
 class AccessTrace:

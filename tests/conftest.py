@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api.config import RuntimeConfig
+from repro.api.session import Session
 from repro.core.config import SMASHConfig
 from repro.core.smash_matrix import SMASHMatrix
 from repro.formats.coo import COOMatrix
@@ -75,3 +77,10 @@ def medium_smash(medium_coo: COOMatrix, smash_config: SMASHConfig) -> SMASHMatri
 def scaled_sim_config() -> SimConfig:
     """The scaled cache hierarchy used by the experiment drivers."""
     return SimConfig.scaled(16)
+
+
+@pytest.fixture
+def kernel_session():
+    """A serial, uncached Session for kernels run on in-memory matrices."""
+    with Session(runtime=RuntimeConfig(processes=1, cache_dir=None)) as session:
+        yield session

@@ -10,6 +10,7 @@ from repro.api.config import (
     CACHE_DIR_ENV_VAR,
     CACHE_ENV_VAR,
     PROCESSES_ENV_VAR,
+    SERVICE_PORT_ENV_VAR,
     TRACE_CHUNK_ENV_VAR,
     RuntimeConfig,
 )
@@ -19,7 +20,6 @@ from repro.api.specs import JobSpec, SweepResult, SweepSpec, Workload, sim_to_pa
 from repro.eval.cli import main as cli_main
 from repro.eval.experiments import experiment_fig10_11
 from repro.eval.runner import SweepRunner, app_job, job_key, kernel_job
-from repro.kernels.schemes import run_spadd, run_spmm, run_spmv
 from repro.sim.config import CPUConfig, SimConfig
 from repro.sim.trace import DEFAULT_CHUNK_ACCESSES
 from repro.workloads.suite import generate_matrix
@@ -288,7 +288,7 @@ class TestSession:
     def test_run_matches_raw_runner(self):
         spec = JobSpec("spmv", "smash_hw", Workload.suite("M8", 48), smash=SMASHConfig((2, 4, 16)))
         facade = _uncached_session().run(spec)
-        direct = SweepRunner().run_one(spec.to_job(sim=SimConfig.default()))
+        direct = SweepRunner().run([spec.to_job(sim=SimConfig.default())])[0]
         assert facade == direct
 
     def test_sweep_pairs_specs_with_reports(self):
@@ -301,10 +301,10 @@ class TestSession:
         assert result.one(key="M5", scheme="taco_csr").kernel == "spmv"
         assert set(result.select(key="M8").by_scheme()) == {"taco_csr", "smash_hw"}
 
-    def test_driver_equivalence_session_vs_runner(self):
-        via_runner = experiment_fig10_11(keys=("M5", "M8"), dim=48, runner=SweepRunner())
+    def test_driver_equivalence_default_vs_explicit_session(self):
+        via_default = experiment_fig10_11(keys=("M5", "M8"), dim=48)
         via_session = experiment_fig10_11(keys=("M5", "M8"), dim=48, session=_uncached_session())
-        assert json.dumps(via_runner, sort_keys=True) == json.dumps(via_session, sort_keys=True)
+        assert json.dumps(via_default, sort_keys=True) == json.dumps(via_session, sort_keys=True)
 
     def test_session_owns_cache_warm_run_executes_nothing(self, tmp_path):
         sweep = SweepSpec.product(kernels="spmv", schemes="taco_csr", matrices=("M8",), dim=48)
@@ -336,65 +336,47 @@ class TestSession:
         session.close()
         session.close()
 
-    def test_wrapping_a_runner_preserves_its_trace_chunk(self):
-        session = Session(runner=SweepRunner(trace_chunk=None))
-        assert session.runtime.trace_chunk is None
-        session = Session(runner=SweepRunner(trace_chunk=123))
-        assert session.runtime.trace_chunk == 123
-
     def test_bad_processes_env_does_not_break_serial_kernels(self, monkeypatch, medium_coo):
         """Reading the chunk knob must not validate unrelated env variables."""
+        from repro.formats.convert import coo_to_csr
+        from repro.kernels.spmv import spmv_csr_instrumented
         from repro.sim.trace import trace_chunk_accesses
 
-        monkeypatch.setenv(PROCESSES_ENV_VAR, "garbage")
-        assert trace_chunk_accesses() == DEFAULT_CHUNK_ACCESSES
-        result = _uncached_session(sim=SIM).run_kernel("spmv", "taco_csr", medium_coo)
-        assert result.report.total_instructions > 0
+        x = np.ones(medium_coo.cols)
+        for variable in (PROCESSES_ENV_VAR, SERVICE_PORT_ENV_VAR):
+            with monkeypatch.context() as env:
+                env.setenv(variable, "garbage")
+                assert trace_chunk_accesses() == DEFAULT_CHUNK_ACCESSES, variable
+                _, report = spmv_csr_instrumented(coo_to_csr(medium_coo), x, SIM)
+                assert report.total_instructions > 0, variable
+                session = _uncached_session(sim=SIM)
+                result = session.run_kernel("spmv", "taco_csr", medium_coo)
+                assert result.report.total_instructions > 0, variable
 
     def test_run_kernel_validates_kernel_name(self, medium_coo):
         with pytest.raises(ValueError, match="did you mean 'spmv' or 'spmm'"):
             _uncached_session().run_kernel("spm", "taco_csr", medium_coo)
 
+    def test_run_kernel_validates_scheme_name(self, medium_coo):
+        with pytest.raises(ValueError, match="did you mean"):
+            _uncached_session().run_kernel("spmv", "taco_cs", medium_coo)
 
-class TestDeprecationShims:
-    def test_shims_warn(self, medium_coo):
-        with pytest.warns(DeprecationWarning, match="run_spmv is deprecated"):
-            run_spmv("taco_csr", medium_coo, sim_config=SIM)
-        with pytest.warns(DeprecationWarning, match="run_spmm is deprecated"):
-            run_spmm("taco_csr", medium_coo, sim_config=SIM)
-        with pytest.warns(DeprecationWarning, match="run_spadd is deprecated"):
-            run_spadd("taco_csr", medium_coo, sim_config=SIM)
-
-    def test_shim_reports_bit_identical_to_session_run(self):
+    def test_run_kernel_reports_bit_identical_to_session_run(self):
         # The same workload addressed declaratively (Session.run, JSON
-        # round-tripped through the sweep engine) and imperatively (the
-        # deprecated module-level runner on the materialized matrix) must
-        # produce equal reports, field for field.
+        # round-tripped through the sweep engine) and imperatively
+        # (run_kernel on the materialized matrix) must produce equal
+        # reports, field for field.
         coo = generate_matrix("M8", dim=48)
         config = SMASHConfig((2, 4, 16))
-        for kernel, shim in (("spmv", run_spmv), ("spmm", run_spmm), ("spadd", run_spadd)):
+        session = _uncached_session()
+        for kernel in ("spmv", "spmm", "spadd"):
             scheme = "smash_hw" if kernel != "spadd" else "taco_csr"
             spec = JobSpec(
                 kernel, scheme, Workload.suite("M8", 48),
                 smash=config if scheme == "smash_hw" else None,
             )
-            declarative = _uncached_session().run(spec)
-            with pytest.warns(DeprecationWarning):
-                imperative = shim(scheme, coo, smash_config=config, sim_config=SimConfig.default())
-            assert imperative.report == declarative, kernel
-
-    def test_shim_matches_run_kernel_exactly(self, medium_coo):
-        session = _uncached_session(sim=SIM)
-        direct = session.run_kernel("spmv", "taco_csr", medium_coo)
-        with pytest.warns(DeprecationWarning):
-            shimmed = run_spmv("taco_csr", medium_coo, sim_config=SIM)
-        np.testing.assert_array_equal(direct.output, shimmed.output)
-        assert direct.report == shimmed.report
-
-    def test_shims_still_validate_schemes(self, medium_coo):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="did you mean"):
-                run_spmv("taco_cs", medium_coo)
+            imperative = session.run_kernel(kernel, scheme, coo, smash=config)
+            assert imperative.report == session.run(spec), kernel
 
 
 class TestCLIRuntimeValidation:

@@ -6,7 +6,6 @@ import pytest
 from repro.core.autotune import ConfigAutotuner, TuningResult
 from repro.core.config import SMASHConfig
 from repro.formats.coo import COOMatrix
-from repro.kernels.schemes import run_spmv
 from repro.sim.config import SimConfig
 from repro.sim.energy import EnergyModel, EnergyParameters
 from repro.workloads.locality import matrix_with_locality
@@ -56,11 +55,11 @@ class TestAutotuner:
         compact = ConfigAutotuner(sim, storage_weight=100.0).tune(coo)
         assert compact.best.storage_bytes <= fast.best.storage_bytes
 
-    def test_tuned_config_runs_end_to_end(self, sim):
+    def test_tuned_config_runs_end_to_end(self, kernel_session, sim):
         coo = clustered_matrix(96, 96, 0.03, seed=5)
         best = ConfigAutotuner(sim).tune(coo).best_config
         x = np.random.default_rng(7).uniform(0.1, 1.0, size=96)
-        result = run_spmv("smash_hw", coo, x=x, smash_config=best, sim_config=sim)
+        result = kernel_session.run_kernel("spmv", "smash_hw", coo, x=x, smash=best, sim=sim)
         np.testing.assert_allclose(result.output, coo.to_dense() @ x)
         assert result.report.cycles > 0
 
@@ -76,15 +75,15 @@ class TestAutotuner:
 
 
 class TestEnergyModel:
-    def _reports(self, sim):
+    def _reports(self, kernel_session, sim):
         coo = clustered_matrix(96, 96, 0.03, cluster_size=6, cluster_height=3, seed=6)
         config = SMASHConfig.from_label_ratios(16, 4, 2)
-        csr = run_spmv("taco_csr", coo, smash_config=config, sim_config=sim)
-        smash = run_spmv("smash_hw", coo, smash_config=config, sim_config=sim)
+        csr = kernel_session.run_kernel("spmv", "taco_csr", coo, smash=config, sim=sim)
+        smash = kernel_session.run_kernel("spmv", "smash_hw", coo, smash=config, sim=sim)
         return csr.report, smash.report
 
-    def test_energy_positive_and_decomposed(self, sim):
-        csr_report, _ = self._reports(sim)
+    def test_energy_positive_and_decomposed(self, kernel_session, sim):
+        csr_report, _ = self._reports(kernel_session, sim)
         energy = EnergyModel().estimate(csr_report)
         assert energy.dynamic_core_pj > 0
         assert energy.dynamic_memory_pj > 0
@@ -94,13 +93,13 @@ class TestEnergyModel:
         )
         assert energy.total_nj == pytest.approx(energy.total_pj / 1000.0)
 
-    def test_smash_saves_energy_over_csr(self, sim):
-        csr_report, smash_report = self._reports(sim)
+    def test_smash_saves_energy_over_csr(self, kernel_session, sim):
+        csr_report, smash_report = self._reports(kernel_session, sim)
         ratio = EnergyModel().compare(csr_report, smash_report)
         assert ratio < 1.0
 
-    def test_custom_parameters_change_estimate(self, sim):
-        csr_report, _ = self._reports(sim)
+    def test_custom_parameters_change_estimate(self, kernel_session, sim):
+        csr_report, _ = self._reports(kernel_session, sim)
         default = EnergyModel().estimate(csr_report)
         expensive_dram = EnergyModel(EnergyParameters(dram_access_pj=20000.0)).estimate(csr_report)
         assert expensive_dram.total_pj >= default.total_pj
@@ -112,10 +111,14 @@ class TestEnergyModel:
         nonzero = EnergyReport(1.0, 1.0, 1.0)
         assert nonzero.relative_to(zero) == float("inf")
 
-    def test_energy_scales_with_instruction_count(self, sim):
+    def test_energy_scales_with_instruction_count(self, kernel_session, sim):
         small = clustered_matrix(64, 64, 0.02, seed=7)
         large = clustered_matrix(64, 64, 0.10, seed=7)
         model = EnergyModel()
-        small_energy = model.estimate(run_spmv("taco_csr", small, sim_config=sim).report)
-        large_energy = model.estimate(run_spmv("taco_csr", large, sim_config=sim).report)
+        small_energy = model.estimate(
+            kernel_session.run_kernel("spmv", "taco_csr", small, sim=sim).report
+        )
+        large_energy = model.estimate(
+            kernel_session.run_kernel("spmv", "taco_csr", large, sim=sim).report
+        )
         assert large_energy.total_pj > small_energy.total_pj

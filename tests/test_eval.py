@@ -31,7 +31,6 @@ from repro.eval.experiments import (
 )
 from repro.eval.figures import ALIASES, EXPERIMENTS, get_experiment, list_experiments
 from repro.eval.reporting import format_table, render_result
-from repro.kernels.schemes import run_spmv
 from repro.sim.config import SimConfig
 
 QUICK = ("M5", "M8")
@@ -54,10 +53,11 @@ class TestComparisonHelpers:
         assert normalize_to(2.0, {"a": 4.0}) == {"a": 2.0}
         assert normalize_to(0.0, {"a": 4.0})["a"] == float("inf")
 
-    def test_speedups_and_instruction_ratios(self, medium_coo, smash_config):
+    def test_speedups_and_instruction_ratios(self, kernel_session, medium_coo, smash_config):
         sim = SimConfig.scaled(16)
-        baseline = run_spmv("taco_csr", medium_coo, smash_config=smash_config, sim_config=sim)
-        candidate = run_spmv("smash_hw", medium_coo, smash_config=smash_config, sim_config=sim)
+        run = kernel_session.run_kernel
+        baseline = run("spmv", "taco_csr", medium_coo, smash=smash_config, sim=sim)
+        candidate = run("spmv", "smash_hw", medium_coo, smash=smash_config, sim=sim)
         speeds = speedups_over(baseline.report, {"smash_hw": candidate.report})
         ratios = normalized_instructions(baseline.report, {"smash_hw": candidate.report})
         assert speeds["smash_hw"] > 0

@@ -10,7 +10,7 @@ from repro.formats.convert import coo_to_csr
 from repro.graphs.generators import generate_graph
 from repro.graphs.pagerank import pagerank, pagerank_reference
 from repro.hardware.isa import SMASHISA
-from repro.kernels.schemes import SCHEMES, run_spmm, run_spmv
+from repro.kernels.schemes import SCHEMES
 from repro.sim.config import SimConfig
 from repro.sim.cpu import CPUModel
 from repro.workloads.suite import generate_matrix, get_spec
@@ -25,7 +25,7 @@ class TestWorkloadToKernelPipeline:
     """Generate a suite matrix, encode it every way, run every kernel."""
 
     @pytest.mark.parametrize("key", ["M2", "M8", "M14"])
-    def test_spmv_pipeline_per_matrix(self, key, sim):
+    def test_spmv_pipeline_per_matrix(self, kernel_session, key, sim):
         spec = get_spec(key)
         coo = generate_matrix(spec, dim=96)
         dense = coo.to_dense()
@@ -33,19 +33,23 @@ class TestWorkloadToKernelPipeline:
         expected = dense @ x
         reports = {}
         for scheme in SCHEMES:
-            result = run_spmv(scheme, coo, x=x, smash_config=spec.smash_config(), sim_config=sim)
+            result = kernel_session.run_kernel(
+                "spmv", scheme, coo, x=x, smash=spec.smash_config(), sim=sim
+            )
             np.testing.assert_allclose(result.output, expected, err_msg=f"{key}/{scheme}")
             reports[scheme] = result.report
         # The structural relationships the paper relies on hold end to end.
         assert reports["smash_hw"].total_instructions < reports["smash_sw"].total_instructions
         assert reports["ideal_csr"].total_instructions < reports["taco_csr"].total_instructions
 
-    def test_spmm_pipeline(self, sim):
+    def test_spmm_pipeline(self, kernel_session, sim):
         coo = generate_matrix("M8", dim=48)
         dense = coo.to_dense()
         expected = dense @ dense
         for scheme in ("taco_csr", "taco_bcsr", "smash_hw"):
-            result = run_spmm(scheme, coo, smash_config=SMASHConfig.single_level(2), sim_config=sim)
+            result = kernel_session.run_kernel(
+                "spmm", scheme, coo, smash=SMASHConfig.single_level(2), sim=sim
+            )
             np.testing.assert_allclose(result.output, expected, err_msg=scheme)
 
 
@@ -104,10 +108,10 @@ class TestGraphApplicationEndToEnd:
 
 
 class TestEnergyOfChangeInConfig:
-    def test_cost_model_knobs_change_results_consistently(self, sim):
+    def test_cost_model_knobs_change_results_consistently(self, kernel_session, sim):
         coo = generate_matrix("M8", dim=64)
         expensive_bmu = sim.with_costs(bmu=20.0)
-        cheap = run_spmv("smash_hw", coo, sim_config=sim)
-        costly = run_spmv("smash_hw", coo, sim_config=expensive_bmu)
+        cheap = kernel_session.run_kernel("spmv", "smash_hw", coo, sim=sim)
+        costly = kernel_session.run_kernel("spmv", "smash_hw", coo, sim=expensive_bmu)
         assert costly.report.issue_cycles > cheap.report.issue_cycles
         np.testing.assert_allclose(cheap.output, costly.output)

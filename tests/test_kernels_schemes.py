@@ -8,14 +8,7 @@ from repro.core.smash_matrix import SMASHMatrix
 from repro.formats.bcsr import BCSRMatrix
 from repro.formats.csc import CSCMatrix
 from repro.formats.csr import CSRMatrix
-from repro.kernels.schemes import (
-    SCHEMES,
-    prepare_operand,
-    run_spadd,
-    run_spmm,
-    run_spmv,
-    scheme_display_name,
-)
+from repro.kernels.schemes import SCHEME_REGISTRY, SCHEMES, prepare_operand
 from repro.sim.config import SimConfig
 
 
@@ -57,55 +50,59 @@ class TestPrepareOperand:
 
 
 class TestRunners:
-    def test_run_spmv_all_schemes_consistent(self, medium_coo, smash_config, sim, rng):
+    def test_run_spmv_all_schemes_consistent(
+        self, kernel_session, medium_coo, smash_config, sim, rng
+    ):
         x = rng.uniform(size=medium_coo.cols)
         expected = medium_coo.to_dense() @ x
         for scheme in SCHEMES:
-            result = run_spmv(scheme, medium_coo, x=x, smash_config=smash_config, sim_config=sim)
+            result = kernel_session.run_kernel(
+                "spmv", scheme, medium_coo, x=x, smash=smash_config, sim=sim
+            )
             np.testing.assert_allclose(result.output, expected, err_msg=scheme)
             assert result.kernel == "spmv"
             assert result.scheme == scheme
 
-    def test_run_spmv_generates_vector_when_missing(self, medium_coo, sim):
-        result = run_spmv("taco_csr", medium_coo, sim_config=sim)
+    def test_run_spmv_generates_vector_when_missing(self, kernel_session, medium_coo, sim):
+        result = kernel_session.run_kernel("spmv", "taco_csr", medium_coo, sim=sim)
         assert result.output.shape == (medium_coo.rows,)
 
-    def test_run_spmm_default_b_is_a(self, medium_coo, sim):
+    def test_run_spmm_default_b_is_a(self, kernel_session, medium_coo, sim):
         dense = medium_coo.to_dense()
-        result = run_spmm("taco_csr", medium_coo, sim_config=sim)
+        result = kernel_session.run_kernel("spmm", "taco_csr", medium_coo, sim=sim)
         np.testing.assert_allclose(result.output, dense @ dense)
 
-    def test_run_spmm_smash_uses_single_block_config(self, medium_coo, sim):
+    def test_run_spmm_smash_uses_single_block_config(self, kernel_session, medium_coo, sim):
         config = SMASHConfig.single_level(2)
-        result = run_spmm("smash_hw", medium_coo, smash_config=config, sim_config=sim)
+        result = kernel_session.run_kernel("spmm", "smash_hw", medium_coo, smash=config, sim=sim)
         dense = medium_coo.to_dense()
         np.testing.assert_allclose(result.output, dense @ dense)
 
-    def test_run_spadd(self, medium_coo, smash_config, sim):
+    def test_run_spadd(self, kernel_session, medium_coo, smash_config, sim):
         dense = medium_coo.to_dense()
         for scheme in ("taco_csr", "ideal_csr", "smash_hw"):
-            result = run_spadd(scheme, medium_coo, smash_config=smash_config, sim_config=sim)
+            result = kernel_session.run_kernel(
+                "spadd", scheme, medium_coo, smash=smash_config, sim=sim
+            )
             np.testing.assert_allclose(result.output, dense + dense, err_msg=scheme)
 
-    def test_run_spadd_unsupported_scheme(self, medium_coo, sim):
+    def test_run_spadd_unsupported_scheme(self, kernel_session, medium_coo, sim):
         with pytest.raises(ValueError):
-            run_spadd("taco_bcsr", medium_coo, sim_config=sim)
+            kernel_session.run_kernel("spadd", "taco_bcsr", medium_coo, sim=sim)
 
-    def test_run_spmv_unknown_scheme(self, medium_coo):
+    def test_run_spmv_unknown_scheme(self, kernel_session, medium_coo):
         with pytest.raises(ValueError):
-            run_spmv("not_a_scheme", medium_coo)
+            kernel_session.run_kernel("spmv", "not_a_scheme", medium_coo)
 
-    def test_reports_differ_across_schemes(self, medium_coo, smash_config, sim):
-        csr = run_spmv("taco_csr", medium_coo, smash_config=smash_config, sim_config=sim)
-        smash = run_spmv("smash_hw", medium_coo, smash_config=smash_config, sim_config=sim)
+    def test_reports_differ_across_schemes(self, kernel_session, medium_coo, smash_config, sim):
+        run = kernel_session.run_kernel
+        csr = run("spmv", "taco_csr", medium_coo, smash=smash_config, sim=sim)
+        smash = run("spmv", "smash_hw", medium_coo, smash=smash_config, sim=sim)
         assert csr.report.total_instructions != smash.report.total_instructions
 
 
 class TestDisplayNames:
     def test_paper_names(self):
-        assert scheme_display_name("taco_csr") == "TACO-CSR"
-        assert scheme_display_name("smash_hw") == "SMASH"
-        assert scheme_display_name("smash_sw") == "Software-only SMASH"
-
-    def test_unknown_scheme_passthrough(self):
-        assert scheme_display_name("custom") == "custom"
+        assert SCHEME_REGISTRY.get("taco_csr") == "TACO-CSR"
+        assert SCHEME_REGISTRY.get("smash_hw") == "SMASH"
+        assert SCHEME_REGISTRY.get("smash_sw") == "Software-only SMASH"

@@ -258,12 +258,43 @@ class TestWorkerDeath:
 
 
 class TestKnobSurface:
-    def test_session_wrapping_runner_reflects_pool_knobs(self):
-        from repro.api.session import Session
+    def test_sweep_runner_knobs_are_pinned(self):
+        """The runner takes explicit knobs only; env resolution is the Session's."""
+        import inspect
 
-        with SweepRunner(processes=2, cache_dir=None) as runner:
-            session = Session(runner=runner)
-            assert session.runtime.processes == 2
+        from repro.eval.runner import USE_ENV_CHUNK
+
+        parameters = inspect.signature(SweepRunner.__init__).parameters
+        assert {name: p.default for name, p in parameters.items() if name != "self"} == {
+            "processes": 1,
+            "cache_dir": None,
+            "trace_chunk": USE_ENV_CHUNK,
+            "replay_profile": False,
+        }
+
+    def test_environment_is_resolved_only_at_front_doors(self):
+        """``RuntimeConfig.from_env`` is called by the front doors alone."""
+        import ast
+        import pathlib
+
+        import repro
+
+        root = pathlib.Path(repro.__file__).parent
+        callers = set()
+        for path in root.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "from_env"
+                ):
+                    callers.add(path.relative_to(root).as_posix())
+        assert callers == {
+            "api/session.py",
+            "eval/cli.py",
+            "eval/experiments.py",
+            "store/cli.py",
+        }
 
     def test_runtime_config_fields_are_pinned(self):
         """A knob cannot come back (or go) unnoticed."""

@@ -98,11 +98,6 @@ class TestKnobPlumbing:
         assert "replay_profile=on" in RuntimeConfig(replay_profile=True).describe()
         assert "replay_profile" not in RuntimeConfig().describe()
 
-    def test_session_reconstructs_runtime_from_runner(self):
-        with SweepRunner(processes=1, cache_dir=None, replay_profile=True) as runner:
-            session = Session(sim=SIM, runner=runner)
-            assert session.runtime.replay_profile is True
-
     def test_cli_flags_reach_the_session(self):
         from repro.eval.cli import build_parser
 

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.api.config import PROCESSES_ENV_VAR, RuntimeConfig
+from repro.api.session import Session
 from repro.core.config import SMASHConfig
 from repro.eval.cli import main as cli_main
 from repro.eval.experiments import experiment_fig10_11, experiment_fig16_17, experiment_spadd
@@ -19,7 +21,6 @@ from repro.eval.runner import (
     CACHE_SCHEMA_VERSION,
     KERNEL_KINDS,
     MATRIX_MEMO_SIZE,
-    PROCESSES_ENV_VAR,
     Job,
     ReportCache,
     SweepRunner,
@@ -30,7 +31,6 @@ from repro.eval.runner import (
     kernel_job,
     locality_source,
     materialize_source,
-    resolve_processes,
     suite_source,
 )
 from repro.eval.runner import _build_matrix as matrix_memo
@@ -286,9 +286,12 @@ class TestSweepRunner:
             assert left == right  # dataclass equality: every field, exactly
 
     def test_serial_vs_parallel_driver_equivalence(self):
-        serial = experiment_fig10_11(keys=QUICK, dim=48, runner=SweepRunner(processes=1))
-        parallel = experiment_fig10_11(keys=QUICK, dim=48, runner=SweepRunner(processes=2))
-        assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
+        def fig10(processes):
+            runtime = RuntimeConfig(processes=processes, cache_dir=None)
+            with Session(runtime=runtime) as session:
+                return experiment_fig10_11(keys=QUICK, dim=48, session=session)
+
+        assert json.dumps(fig10(1), sort_keys=True) == json.dumps(fig10(2), sort_keys=True)
 
     def test_in_batch_deduplication(self):
         job = _quick_jobs()[0]
@@ -342,13 +345,11 @@ class TestSweepRunner:
         assert cached.cycles == fresh.cycles
 
     def test_processes_from_environment(self, monkeypatch):
+        """Only RuntimeConfig.from_env reads the knob; the runner never does."""
         monkeypatch.setenv(PROCESSES_ENV_VAR, "3")
-        assert resolve_processes() == 3
-        assert SweepRunner().processes == 3
-        monkeypatch.delenv(PROCESSES_ENV_VAR)
-        assert resolve_processes() == 1
-        with pytest.raises(ValueError):
-            resolve_processes(0)
+        assert SweepRunner().processes == 1
+        with pytest.raises(ValueError, match="at least 1"):
+            SweepRunner(processes=0)
 
     def test_app_jobs_execute(self):
         job = app_job(

@@ -20,7 +20,7 @@ import threading
 import pytest
 
 from repro.api.config import RuntimeConfig
-from repro.api.session import Session, default_session
+from repro.api.session import Session
 from repro.api.specs import SweepSpec
 from repro.eval import runner as runner_module
 from repro.eval.runner import SweepRunner, job_key, kernel_job, suite_source
@@ -282,22 +282,3 @@ class TestSessionLifecycle:
             done = list(Session.as_completed(futures, timeout=60))
             assert sorted(map(id, done)) == sorted(map(id, futures))
             assert all(future.done() for future in done)
-
-    def test_default_session_is_singleton_with_atexit_hook(self, monkeypatch):
-        from repro.api import session as session_module
-
-        hooks = []
-        monkeypatch.setattr(
-            session_module.atexit, "register", lambda hook: hooks.append(hook)
-        )
-        monkeypatch.setattr(session_module, "_default_session", None)
-        first = default_session()
-        second = default_session()
-        assert first is second
-        assert hooks == [session_module._close_default_session]
-        hooks[0]()  # the atexit hook closes and forgets the singleton
-        assert session_module._default_session is None
-        # A fresh call after the hook builds a new Session.
-        third = default_session()
-        assert third is not first
-        session_module._close_default_session()

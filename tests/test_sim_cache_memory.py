@@ -192,6 +192,6 @@ class TestMemoryHierarchy:
     def test_access_many_accumulates(self):
         hierarchy = MemoryHierarchy(SimConfig.scaled(16))
         requests = [MemoryRequest("a", i * 4096, AccessType.DEPENDENT) for i in range(10)]
-        total = hierarchy.access_many(requests)
+        total = sum(hierarchy.access(request) for request in requests)
         assert total > 0
         assert hierarchy.stats.requests == 10

