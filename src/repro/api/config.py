@@ -4,10 +4,10 @@ Every runtime knob — the worker-process count (``SMASH_REPRO_PROCESSES``),
 the trace chunk budget (``SMASH_REPRO_TRACE_CHUNK``), the report-cache
 location/enablement (``SMASH_REPRO_CACHE_DIR`` / ``SMASH_REPRO_CACHE``), the
 sweep-service bind address (``SMASH_REPRO_SERVICE_HOST`` /
-``SMASH_REPRO_SERVICE_PORT``) and the result-store index
-(``SMASH_REPRO_STORE`` / ``SMASH_REPRO_STORE_INDEX``) — is a field of the
-frozen :class:`RuntimeConfig`. This module is the only code in the library
-that reads ``os.environ``: :meth:`RuntimeConfig.from_env` resolves every
+``SMASH_REPRO_SERVICE_PORT``) and the result-store index location
+(``SMASH_REPRO_STORE_INDEX``) — is a field of the frozen
+:class:`RuntimeConfig`. This module is the only code in the library that
+reads ``os.environ``: :meth:`RuntimeConfig.from_env` resolves every
 knob for the front doors (the :class:`~repro.api.session.Session`, the
 CLIs), and :func:`trace_chunk_from_env` resolves the chunk budget alone for
 kernels called outside a Session. Everything else (the sweep runner, the
@@ -15,11 +15,9 @@ trace engine) receives an explicit, validated value.
 
 None of these knobs can change a result: processes and cache only affect
 where/whether a job executes, the chunk budget only bounds peak replay
-memory (DESIGN.md section 10), the profiling knob
-(``SMASH_REPRO_REPLAY_PROFILE``) only times the replay engine's phases
-(DESIGN.md section 13), and the service and store knobs only say where
-results are served and indexed. That is why none of them participate in
-the report-cache job key.
+memory (DESIGN.md section 10), and the service and store knobs only say
+where results are served and indexed. That is why none of them participate
+in the report-cache job key.
 """
 
 from __future__ import annotations
@@ -47,19 +45,11 @@ CACHE_ENV_VAR = "SMASH_REPRO_CACHE"
 #: Re-exported so runtime-config users need only this module.
 TRACE_CHUNK_ENV_VAR = CHUNK_ENV_VAR
 
-#: Environment variable enabling per-phase replay profiling.
-REPLAY_PROFILE_ENV_VAR = "SMASH_REPRO_REPLAY_PROFILE"
-
 #: Environment variable setting the sweep-service bind address.
 SERVICE_HOST_ENV_VAR = "SMASH_REPRO_SERVICE_HOST"
 
 #: Environment variable setting the sweep-service port (0 = ephemeral).
 SERVICE_PORT_ENV_VAR = "SMASH_REPRO_SERVICE_PORT"
-
-#: Environment variable disabling incremental result-store indexing
-#: (``0``/``false``/``off``); the sqlite index can always be rebuilt later
-#: with ``smash-repro cache reindex``.
-STORE_ENV_VAR = "SMASH_REPRO_STORE"
 
 #: Environment variable relocating the result-store index file (default:
 #: ``index.sqlite`` directly under the report-cache root).
@@ -117,25 +107,21 @@ class RuntimeConfig:
     ``cache_dir`` locates the on-disk report cache; ``None`` disables it.
     ``trace_chunk`` is the per-segment access budget of the bounded-memory
     trace replay; ``None`` (or 0, normalized to ``None``) restores the
-    monolithic build-then-replay path. ``replay_profile`` collects
-    per-phase replay wall-clock into ``SweepResult.stats``.
-    ``service_host``/``service_port`` are where the ``repro.service``
-    daemon binds (``smash-repro serve``; port 0 asks the OS for an
-    ephemeral port). ``store_ingest`` enables the incremental
-    result-store index (``repro.store``) on cached sweeps; ``store_index``
-    relocates the sqlite index file (``None`` = ``index.sqlite`` under the
+    monolithic build-then-replay path. ``service_host``/``service_port``
+    are where the ``repro.service`` daemon binds (``smash-repro serve``;
+    port 0 asks the OS for an ephemeral port). ``store_index`` relocates
+    the sqlite file of the result-store index (``repro.store``) that every
+    cached Session keeps current (``None`` = ``index.sqlite`` under the
     cache root). Like every other knob here they say *how* work is
-    executed, stored and served, never what it computes — which is why none
-    participate in the report-cache job key.
+    executed, stored and served, never what it computes — which is why
+    none participate in the report-cache job key.
     """
 
     processes: int = 1
     cache_dir: Optional[Union[str, pathlib.Path]] = DEFAULT_CACHE_DIR
     trace_chunk: Optional[int] = DEFAULT_CHUNK_ACCESSES
-    replay_profile: bool = False
     service_host: str = DEFAULT_SERVICE_HOST
     service_port: int = DEFAULT_SERVICE_PORT
-    store_ingest: bool = True
     store_index: Optional[Union[str, pathlib.Path]] = None
 
     def __post_init__(self) -> None:
@@ -148,10 +134,6 @@ class RuntimeConfig:
                 f"worker process count must be at least 1, got {self.processes}"
             )
         object.__setattr__(self, "trace_chunk", _checked_trace_chunk(self.trace_chunk))
-        if not isinstance(self.replay_profile, bool):
-            raise ValueError(
-                f"replay profile flag must be a bool, got {self.replay_profile!r}"
-            )
         if not isinstance(self.service_host, str) or not self.service_host:
             raise ValueError(
                 f"service host must be a non-empty string, got {self.service_host!r}"
@@ -164,10 +146,6 @@ class RuntimeConfig:
             raise ValueError(
                 f"service port must be in [0, 65535] (0 = ephemeral), "
                 f"got {self.service_port}"
-            )
-        if not isinstance(self.store_ingest, bool):
-            raise ValueError(
-                f"store ingest flag must be a bool, got {self.store_ingest!r}"
             )
         if self.store_index is not None and not isinstance(
             self.store_index, (str, pathlib.Path)
@@ -185,10 +163,8 @@ class RuntimeConfig:
         processes: Optional[int] = None,
         cache_dir: object = _UNSET,
         trace_chunk: object = _UNSET,
-        replay_profile: Optional[bool] = None,
         service_host: Optional[str] = None,
         service_port: Optional[int] = None,
-        store_ingest: Optional[bool] = None,
         store_index: object = _UNSET,
     ) -> "RuntimeConfig":
         """Build a config from the environment, explicit arguments winning.
@@ -208,9 +184,6 @@ class RuntimeConfig:
                 cache_dir = os.environ.get(CACHE_DIR_ENV_VAR, "").strip() or DEFAULT_CACHE_DIR
         if trace_chunk is _UNSET:
             trace_chunk = trace_chunk_from_env()
-        if replay_profile is None:
-            raw = os.environ.get(REPLAY_PROFILE_ENV_VAR, "").strip().lower()
-            replay_profile = bool(raw) and raw not in _FALSY
         if service_host is None:
             service_host = (
                 os.environ.get(SERVICE_HOST_ENV_VAR, "").strip() or DEFAULT_SERVICE_HOST
@@ -220,9 +193,6 @@ class RuntimeConfig:
             service_port = (
                 _parse_int(raw, SERVICE_PORT_ENV_VAR) if raw else DEFAULT_SERVICE_PORT
             )
-        if store_ingest is None:
-            raw = os.environ.get(STORE_ENV_VAR, "").strip().lower()
-            store_ingest = raw not in _FALSY if raw else True
         if store_index is _UNSET:
             store_index = os.environ.get(STORE_INDEX_ENV_VAR, "").strip() or None
         # The _UNSET sentinels force ``object``-typed parameters; by here
@@ -231,10 +201,8 @@ class RuntimeConfig:
             processes=processes,
             cache_dir=cast(Optional[Union[str, pathlib.Path]], cache_dir),
             trace_chunk=cast(Optional[int], trace_chunk),
-            replay_profile=replay_profile,
             service_host=service_host,
             service_port=service_port,
-            store_ingest=store_ingest,
             store_index=cast(Optional[Union[str, pathlib.Path]], store_index),
         )
 
@@ -255,10 +223,6 @@ class RuntimeConfig:
         cache = str(self.cache_dir) if self.cache_enabled else "disabled"
         chunk = self.trace_chunk if self.trace_chunk is not None else "monolithic"
         summary = f"processes={self.processes}, cache={cache}, trace_chunk={chunk}"
-        if self.replay_profile:
-            summary += ", replay_profile=on"
-        if not self.store_ingest:
-            summary += ", store=off"
-        elif self.store_index is not None:
+        if self.store_index is not None:
             summary += f", store_index={self.store_index}"
         return summary

@@ -81,13 +81,12 @@ class Session:
             processes=self.runtime.processes,
             cache_dir=self.runtime.cache_dir,
             trace_chunk=self.runtime.trace_chunk,
-            replay_profile=self.runtime.replay_profile,
         )
         # Keep the result-store index warm: every report the cache persists
         # is ingested into the sqlite index as it lands (repro.store;
         # DESIGN.md section 16). Derived data only — queries and the
         # service's GET /query read it, results never do.
-        if self.runtime.store_ingest and self._runner.cache is not None:
+        if self._runner.cache is not None:
             attach_indexer(self._runner.cache, index_path=self.runtime.store_index)
 
     @property
@@ -148,11 +147,7 @@ class Session:
         specs = tuple(specs)
         sim = sim if sim is not None else self.sim
         jobs = [spec.to_job(sim=sim, smash=self.smash) for spec in specs]
-        reports = self._runner.run(jobs)
-        stats = None
-        if self._runner.replay_profile and self._runner.last_profile:
-            stats = {"replay_phases": dict(self._runner.last_profile)}
-        return SweepResult(specs, tuple(reports), stats)
+        return SweepResult(specs, tuple(self._runner.run(jobs)))
 
     # ------------------------------------------------------------------ #
     # Imperative escape hatch

@@ -34,7 +34,7 @@ identical cache key as the original (DESIGN.md section 15).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union, cast
 
 from repro.api.registry import UnknownNameError, suggestion
@@ -385,17 +385,10 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Specs paired with their reports, in submission order.
-
-    ``stats`` carries optional observational metadata about how the sweep
-    *executed* (e.g. ``"replay_phases"`` per-phase replay wall-clock when
-    ``RuntimeConfig.replay_profile`` is on); it never affects the reports
-    and is excluded from result comparisons.
-    """
+    """Specs paired with their reports, in submission order."""
 
     specs: Tuple[JobSpec, ...]
     reports: Tuple[CostReport, ...]
-    stats: Optional[Dict[str, object]] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.specs) != len(self.reports):

@@ -27,9 +27,8 @@ Serve sweeps over HTTP from one shared session/cache/pool::
 The CLI is a thin shell over :class:`repro.api.Session`: flags and the
 documented environment knobs (``SMASH_REPRO_PROCESSES``,
 ``SMASH_REPRO_TRACE_CHUNK``, ``SMASH_REPRO_CACHE_DIR``,
-``SMASH_REPRO_CACHE``, ``SMASH_REPRO_REPLAY_PROFILE``,
-``SMASH_REPRO_SERVICE_HOST``, ``SMASH_REPRO_SERVICE_PORT``) are folded
-into one validated
+``SMASH_REPRO_CACHE``, ``SMASH_REPRO_SERVICE_HOST``,
+``SMASH_REPRO_SERVICE_PORT``) are folded into one validated
 :class:`~repro.api.config.RuntimeConfig` — explicit flags win — and every
 experiment driver receives the resulting Session. Kernel results are
 memoized in a content-keyed on-disk cache (``.smash-cache/`` by default),
@@ -88,15 +87,6 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
         "--no-cache",
         action="store_true",
         help="disable the on-disk report cache for this invocation",
-    )
-    parser.add_argument(
-        "--replay-profile",
-        action="store_true",
-        default=None,
-        help=(
-            "collect per-phase replay wall-clock during serial sweeps "
-            "(also via $SMASH_REPRO_REPLAY_PROFILE)"
-        ),
     )
 
 
@@ -238,7 +228,6 @@ def _build_session(args: argparse.Namespace) -> Session:
     """
     kwargs = {
         "processes": args.processes,
-        "replay_profile": args.replay_profile,
         # Only the serve subcommand defines the bind flags; the service
         # knobs are harmless defaults everywhere else.
         "service_host": getattr(args, "host", None),

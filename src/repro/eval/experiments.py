@@ -23,7 +23,8 @@ therefore existing caches) are unchanged.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+import contextlib
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -74,13 +75,20 @@ def _suite(keys: Optional[Iterable[str]]) -> List:
     return [get_spec(key) for key in (keys or ALL_MATRICES)]
 
 
-def _session(session: Optional[Session] = None) -> Session:
-    """The Session to submit specs through.
+@contextlib.contextmanager
+def _session(session: Optional[Session] = None) -> Iterator[Session]:
+    """The Session one driver call submits its specs through.
 
-    The default is serial and uncached, honouring the environment knobs
-    for worker count and trace chunking.
+    A Session passed in is yielded as is and stays open for the caller.
+    Otherwise a default one is built for this call — uncached, honouring
+    the environment knobs for worker count and trace chunking — and closed
+    on exit, so its worker pool does not outlive the driver.
     """
-    return session or Session(runtime=RuntimeConfig.from_env(cache_dir=None))
+    if session is not None:
+        yield session
+        return
+    with Session(runtime=RuntimeConfig.from_env(cache_dir=None)) as owned:
+        yield owned
 
 
 # --------------------------------------------------------------------------- #
@@ -94,7 +102,6 @@ def experiment_fig3(
     session: Optional[Session] = None,
 ) -> Dict:
     """Speedup and normalized instructions of Ideal CSR over CSR (Figure 3)."""
-    engine = _session(session)
     kernels = {"spadd": spmv_dim, "spmv": spmv_dim, "spmm": spmm_dim}
     specs = [
         JobSpec(kernel, scheme, Workload.suite(spec.key, dim))
@@ -103,7 +110,8 @@ def experiment_fig3(
         if suite_nnz(spec.key, dim)
         for scheme in ("taco_csr", "ideal_csr")
     ]
-    result = engine.sweep(specs, sim=_sim_config(cache_scale))
+    with _session(session) as engine:
+        result = engine.sweep(specs, sim=_sim_config(cache_scale))
     results = {}
     for kernel in kernels:
         baselines = result.select(kernel=kernel, scheme="taco_csr").reports
@@ -206,7 +214,6 @@ def experiment_fig9(
     counts, exactly as on the paper's Xeon where the working sets are
     cache-resident relative to its large caches.
     """
-    engine = _session(session)
     specs = [
         JobSpec(kernel, scheme, Workload.suite(spec.key, dim), smash=spec.smash_config())
         for kernel, dim in (("spmv", spmv_dim), ("spmm", spmm_dim))
@@ -214,7 +221,8 @@ def experiment_fig9(
         if suite_nnz(spec.key, dim)
         for scheme in SOFTWARE_SCHEMES
     ]
-    result = engine.sweep(specs, sim=_sim_config(cache_scale=None))
+    with _session(session) as engine:
+        result = engine.sweep(specs, sim=_sim_config(cache_scale=None))
     baselines = {
         (spec.kernel, spec.workload_key): report
         for spec, report in result
@@ -278,11 +286,11 @@ def _kernel_sweep(
     """Per-matrix scheme sweep for one kernel, normalized to ``taco_csr``."""
     if "taco_csr" not in schemes:
         raise ValueError("the scheme sweep needs the 'taco_csr' baseline")
-    engine = _session(session)
     sweep, sim = kernel_sweep_specs(
         kernel, keys=keys, dim=dim, cache_scale=cache_scale, schemes=schemes
     )
-    result = engine.sweep(sweep, sim=sim)
+    with _session(session) as engine:
+        result = engine.sweep(sweep, sim=sim)
     per_matrix: Dict[str, Dict[str, Dict[str, float]]] = {}
     for key in sweep.workload_keys:
         reports = result.select(key=key).by_scheme()
@@ -398,7 +406,6 @@ def experiment_fig14_15(
     """SMASH speedup sensitivity to the Bitmap-0 compression ratio."""
     if kernel not in ("spmv", "spmm"):
         raise ValueError("kernel must be 'spmv' or 'spmm'")
-    engine = _session(session)
     dim = dim or (DEFAULT_SPMV_DIM if kernel == "spmv" else DEFAULT_SPMM_DIM)
     specs = [
         JobSpec(
@@ -409,7 +416,8 @@ def experiment_fig14_15(
         if suite_nnz(spec.key, dim)
         for ratio in ratios
     ]
-    result = engine.sweep(specs, sim=_sim_config(cache_scale))
+    with _session(session) as engine:
+        result = engine.sweep(specs, sim=_sim_config(cache_scale))
     per_matrix: Dict[str, Dict[str, float]] = {}
     keys_in_order = dict.fromkeys(spec.workload_key for spec in result.specs)
     for key in keys_in_order:
@@ -454,7 +462,6 @@ def experiment_fig16_17(
     """
     if kernel not in ("spmv", "spmm"):
         raise ValueError("kernel must be 'spmv' or 'spmm'")
-    engine = _session(session)
     dim = dim or (256 if kernel == "spmv" else DEFAULT_SPMM_DIM)
     specs, points = [], []
     for key in keys:
@@ -474,7 +481,8 @@ def experiment_fig16_17(
                 )
             )
             points.append((key, config, locality))
-    result = engine.sweep(specs, sim=_sim_config(cache_scale))
+    with _session(session) as engine:
+        result = engine.sweep(specs, sim=_sim_config(cache_scale))
     series: Dict[str, Dict[float, object]] = {}
     labels: Dict[str, str] = {}
     for (key, config, locality), report in zip(points, result.reports):
@@ -510,7 +518,6 @@ def experiment_fig18(
     session: Optional[Session] = None,
 ) -> Dict:
     """PageRank and Betweenness Centrality, SMASH vs CSR (Figure 18)."""
-    engine = _session(session)
     config = smash_config or SMASHConfig((2, 4, 16))
     apps = (("pagerank", {"iterations": pagerank_iterations}), ("bc", {"max_sources": bc_sources}))
     graph_keys = list(keys or ALL_GRAPHS)
@@ -520,7 +527,8 @@ def experiment_fig18(
         for app, params in apps
         for scheme in ("taco_csr", "smash_hw")
     ]
-    result = engine.sweep(specs, sim=_sim_config(cache_scale))
+    with _session(session) as engine:
+        result = engine.sweep(specs, sim=_sim_config(cache_scale))
     per_graph: Dict[str, Dict[str, Dict[str, float]]] = {}
     for key in graph_keys:
         entry: Dict[str, Dict[str, float]] = {}
@@ -661,7 +669,6 @@ def experiment_fig20(
     same way. The kernel runs go through the sweep engine; the (cheap,
     structural) conversion-cost estimates are computed in-driver.
     """
-    engine = _session(session)
     sim = _sim_config(cache_scale)
     breakdown: Dict[str, Dict[str, float]] = {}
 
@@ -690,7 +697,8 @@ def experiment_fig20(
             smash=pagerank_config, params={"iterations": pagerank_iterations},
         ),
     ]
-    spmv_report, spmm_report, pr_report = engine.sweep(specs, sim=sim).reports
+    with _session(session) as engine:
+        spmv_report, spmm_report, pr_report = engine.sweep(specs, sim=sim).reports
 
     # SpMV: single short-running kernel invocation.
     csr = coo_to_csr(generate_matrix(spmv_spec, dim=spmv_dim))
@@ -763,7 +771,6 @@ def experiment_scale(
 
     if "taco_csr" not in schemes:
         raise ValueError("the scale sweep needs the 'taco_csr' baseline")
-    engine = _session(session)
     specs, points = [], []
     for key in keys:
         spec = get_spec(key)
@@ -779,11 +786,11 @@ def experiment_scale(
                     )
                 )
             points.append((key, dim, nnz))
-    result = engine.sweep(specs, sim=_sim_config(cache_scale))
-
-    # The budget the sweep actually ran under: the session's runtime pins it
-    # (the runner wraps a chunk override around every execution path).
-    chunk = engine.runtime.trace_chunk
+    with _session(session) as engine:
+        result = engine.sweep(specs, sim=_sim_config(cache_scale))
+        # The budget the sweep actually ran under: the session's runtime pins
+        # it (the runner wraps a chunk override around every execution path).
+        chunk = engine.runtime.trace_chunk
     chunked_peak_mb = (
         (chunk or 0) * TRACE_BYTES_PER_ACCESS * MONOLITHIC_PEAK_FACTOR / 2**20
         if chunk

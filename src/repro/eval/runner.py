@@ -57,7 +57,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Un
 
 from repro.api.config import DEFAULT_CACHE_DIR, RuntimeConfig
 from repro.core.config import SMASHConfig
-from repro.sim import _replay_core
 from repro.sim import trace as _trace
 from repro.sim.config import SimConfig
 from repro.sim.instrumentation import CostReport
@@ -416,14 +415,12 @@ class SweepRunner:
     pins the bounded-memory replay budget for this runner's jobs — serial
     execution wraps a process-local override, pool workers are initialized
     with it — while the :data:`USE_ENV_CHUNK` default leaves each process
-    on the ``SMASH_REPRO_TRACE_CHUNK`` budget. ``replay_profile`` collects
-    per-phase replay wall-clock of serial execution into
-    :attr:`last_profile`. The runner reads no environment itself: a
-    :class:`~repro.api.session.Session` resolves its knobs into a
-    :class:`~repro.api.config.RuntimeConfig` and passes them in. Results
-    are independent of all four knobs. Pooled misses travel in chunks of
-    :meth:`_effective_pool_chunk` jobs per pool task, and every chunk runs
-    the same per-job loop as serial execution. A worker killed mid-sweep
+    on the ``SMASH_REPRO_TRACE_CHUNK`` budget. The runner reads no
+    environment itself: a :class:`~repro.api.session.Session` resolves its
+    knobs into a :class:`~repro.api.config.RuntimeConfig` and passes them
+    in. Results are independent of all three knobs. Pooled misses travel
+    in chunks of :meth:`_effective_pool_chunk` jobs per pool task, and
+    every chunk runs the same per-job loop as serial execution. A worker killed mid-sweep
     breaks the pool; the runner then replaces the pool and re-dispatches
     the jobs it lost, once (DESIGN.md section 17).
 
@@ -435,10 +432,10 @@ class SweepRunner:
     statistics, the in-flight table, cache loads/stores and pool creation)
     is guarded by one scheduler lock; serial in-process execution is
     additionally serialized by an execution lock, because the process-local
-    trace-chunk override and replay profile sink are module-level state
-    that must not be entered concurrently. The scheduler lock is never held
-    while a job executes, and the execution lock is never acquired while
-    the scheduler lock is held.
+    trace-chunk override is module-level state that must not be entered
+    concurrently. The scheduler lock is never held while a job executes,
+    and the execution lock is never acquired while the scheduler lock is
+    held.
     """
 
     def __init__(
@@ -446,26 +443,25 @@ class SweepRunner:
         processes: int = 1,
         cache_dir: Optional[Union[str, pathlib.Path]] = None,
         trace_chunk: object = USE_ENV_CHUNK,
-        replay_profile: bool = False,
     ) -> None:
-        # RuntimeConfig holds the one copy of the knob checks.
-        RuntimeConfig(processes=processes, replay_profile=replay_profile)
+        # RuntimeConfig holds the one copy of the knob checks; a pinned
+        # chunk comes back normalized (0 -> None, monolithic).
+        if trace_chunk is USE_ENV_CHUNK:
+            RuntimeConfig(processes=processes)
+        else:
+            trace_chunk = RuntimeConfig(processes=processes, trace_chunk=trace_chunk).trace_chunk
         self.processes = processes
         self.cache = ReportCache(cache_dir) if cache_dir is not None else None
         self.stats = SweepStats()
         self.trace_chunk = trace_chunk
-        self.replay_profile = replay_profile
-        #: Per-phase replay seconds of the last :meth:`run` call's serial
-        #: execution (``None`` until a profiled run happens).
-        self.last_profile: Optional[Dict[str, float]] = None
         self._pool: Optional[ProcessPoolExecutor] = None
         self._finalizer: Optional[weakref.finalize] = None
         #: Scheduler lock: guards stats, the in-flight table, cache
         #: loads/stores and pool creation. Never held while a job executes.
         self._lock = threading.Lock()
         #: Execution lock: serializes in-process job execution, because the
-        #: process-local chunk override and profile contexts are module-level
-        #: state. Acquired only while the scheduler lock is NOT held.
+        #: process-local chunk override is module-level state. Acquired
+        #: only while the scheduler lock is NOT held.
         self._exec_lock = threading.Lock()
         #: Single-flight table: job key -> future resolving to the job's
         #: serialized report payload. Entries exist only while the job is
@@ -630,21 +626,16 @@ class SweepRunner:
 
         Jobs run in order through :func:`_execute_payloads`, the loop every
         pool chunk runs too; the execution lock keeps the module-level
-        override and profile contexts from interleaving between threads.
+        chunk override from interleaving between threads.
         """
+        override = (
+            contextlib.nullcontext()
+            if self.trace_chunk is USE_ENV_CHUNK
+            else _trace.chunk_override(self.trace_chunk)
+        )
         try:
-            with self._exec_lock:
-                with contextlib.ExitStack() as overrides:
-                    if self.trace_chunk is not USE_ENV_CHUNK:
-                        overrides.enter_context(_trace.chunk_override(self.trace_chunk))
-                    profile = None
-                    if self.replay_profile:
-                        profile = overrides.enter_context(
-                            _replay_core.profile_collection()
-                        )
-                    fresh = _execute_payloads([job for _, job, _ in owned])
-                    if profile is not None:
-                        self.last_profile = dict(profile)
+            with self._exec_lock, override:
+                fresh = _execute_payloads([job for _, job, _ in owned])
             self._resolve(
                 [(key, job, future, payload) for (key, job, future), payload in zip(owned, fresh)]
             )

@@ -2,10 +2,10 @@
 
 The sweep cache's whole guarantee (stated in ``RuntimeConfig``'s
 docstring) is that a job key hashes *what* is computed, never *how*: the
-trace chunk budget, replay profiling, worker count, cache location and
-store settings all leave results bit-identical, so folding any of them into
-``job_key`` would split the cache on knobs that cannot change the answer —
-warm runs re-executing everything after an innocuous runtime change.
+trace chunk budget, worker count, cache location and store settings all
+leave results bit-identical, so folding any of them into ``job_key`` would
+split the cache on knobs that cannot change the answer — warm runs
+re-executing everything after an innocuous runtime change.
 
 The rule seeds at the key builders in ``repro/eval/runner.py``
 (``job_key``, ``Job.payload``, ``kernel_job``, ``app_job``) and walks the
@@ -78,9 +78,9 @@ class CacheKeyPurityRule(Rule):
     id = "RL003"
     title = "runtime-only RuntimeConfig knobs unreachable from job-key builders"
     rationale = (
-        "Job keys hash what is computed, never how: chunk budget, replay "
-        "profiling, workers, cache and store location are documented as "
-        "result-neutral, so keying on them would shatter the report cache."
+        "Job keys hash what is computed, never how: chunk budget, workers, "
+        "cache and store location are documented as result-neutral, so "
+        "keying on them would shatter the report cache."
     )
 
     def applies_to(self, source: SourceFile) -> bool:

@@ -9,9 +9,9 @@ value source —
 time, ``datetime.now`` — silently breaks the content-keyed report cache and
 the byte-identical CI diffs.
 
-Deliberate wall-clock use (the replay profiler's ``time.perf_counter``)
-never enters a report and is not matched; anything else that is genuinely
-intentional must carry a justified inline suppression.
+Interval timers (``time.perf_counter``) measure durations that never enter
+a report and are not matched; anything else that is genuinely intentional
+must carry a justified inline suppression.
 """
 
 from __future__ import annotations

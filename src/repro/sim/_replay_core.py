@@ -50,9 +50,7 @@ reach their oracle.
 
 from __future__ import annotations
 
-import contextlib
-import time
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,39 +91,6 @@ def _arange32(n: int) -> np.ndarray:
     return _arange32_cache[:n]
 
 
-# --------------------------------------------------------------------------- #
-# Per-phase wall-clock profiling (RuntimeConfig.replay_profile)
-# --------------------------------------------------------------------------- #
-#: Active profile sink: phase name -> accumulated seconds.  ``None`` (the
-#: default) keeps the timing hooks completely out of the replay hot paths.
-_profile_sink: Optional[Dict[str, float]] = None
-
-
-def _record_phase(phase: str, seconds: float) -> None:
-    """Accumulate one phase timing into the active sink (if any)."""
-    sink = _profile_sink
-    if sink is not None:
-        sink[phase] = sink.get(phase, 0.0) + seconds
-
-
-@contextlib.contextmanager
-def profile_collection() -> Iterator[Dict[str, float]]:
-    """Collect per-phase replay wall-clock into the yielded dict.
-
-    Phases are ``"prefetch"`` / ``"lru"`` / ``"stalls"`` for the array
-    engine and ``"walk"`` for the reference loop (which fuses all three);
-    values accumulate across every replay call inside the context.  Purely
-    observational — results are unaffected.
-    """
-    global _profile_sink
-    previous = _profile_sink
-    _profile_sink = sink = {} if previous is None else previous
-    try:
-        yield sink
-    finally:
-        _profile_sink = previous
-
-
 def stall_cycles_for(kind: int, latency: float, mlp: float, exposure: float) -> float:
     """Stall cycles one access contributes, given its kind and hit latency.
 
@@ -154,8 +119,6 @@ def replay_reference(
     head_kinds: np.ndarray,
 ) -> float:
     """Sequentially walk the hierarchy head by head (the original engine)."""
-    profiling = _profile_sink is not None
-    t0 = time.perf_counter() if profiling else 0.0
     l1c, l2c, l3c = h.l1.config, h.l2.config, h.l3.config
     set1 = (head_lines % l1c.n_sets).tolist()
     set2 = (head_lines % l2c.n_sets).tolist()
@@ -294,8 +257,6 @@ def replay_reference(
     stats.dram_accesses += dram
     stats.stall_cycles = running
     stats.dependent_stall_cycles = dep_running
-    if profiling:
-        _record_phase("walk", time.perf_counter() - t0)
     return added
 
 
@@ -1140,18 +1101,12 @@ def replay_vectorized(
     """Phased array-native replay; bit-identical to :func:`replay_reference`."""
     if head_lines.size < MIN_VECTORIZED_HEADS:
         return replay_reference(h, structures, head_ids, head_lines, head_kinds)
-    profiling = _profile_sink is not None
-    t0 = time.perf_counter() if profiling else 0.0
     try:
         # Phases 1-3 are pure: nothing on `h` mutates until the commit
         # block, so delegation can always restart from pristine state.
         covered, prefetch_hits, stream_updates = _prefetch_pass(
             h, structures, head_ids, head_lines, head_kinds
         )
-        if profiling:
-            now = time.perf_counter()
-            _record_phase("prefetch", now - t0)
-            t0 = now
 
         # One (line, time) sort serves every level: the set index is a pure
         # function of the line, and filtering a sorted order keeps it sorted.
@@ -1183,10 +1138,6 @@ def replay_vectorized(
         )
         l3_present = np.zeros(head_lines.size, dtype=bool)
         l3_present[l3_positions] = level3.present
-        if profiling:
-            now = time.perf_counter()
-            _record_phase("lru", now - t0)
-            t0 = now
     except _Delegate:
         return replay_reference(h, structures, head_ids, head_lines, head_kinds)
 
@@ -1250,7 +1201,5 @@ def replay_vectorized(
             state.last_line = last_line
             state.stride = stride
             state.confirmations = confirmations
-    if profiling:
-        _record_phase("stalls", time.perf_counter() - t0)
     return added
 

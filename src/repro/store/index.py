@@ -557,7 +557,11 @@ def attach_indexer(
     cache: ReportCache,
     index_path: Optional[Union[str, pathlib.Path]] = None,
 ) -> StoreIndexer:
-    """Wire incremental indexing onto ``cache`` (idempotent per cache)."""
+    """Wire a new incremental indexer onto ``cache``, replacing its hook.
+
+    A cache holds one indexer: each call installs a fresh
+    :class:`StoreIndexer` as ``cache.indexer`` and returns it.
+    """
     indexer = StoreIndexer(ResultStore(cache.root, index_path))
     cache.indexer = indexer
     return indexer

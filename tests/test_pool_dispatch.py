@@ -269,7 +269,6 @@ class TestKnobSurface:
             "processes": 1,
             "cache_dir": None,
             "trace_chunk": USE_ENV_CHUNK,
-            "replay_profile": False,
         }
 
     def test_environment_is_resolved_only_at_front_doors(self):
@@ -304,10 +303,8 @@ class TestKnobSurface:
             "processes",
             "cache_dir",
             "trace_chunk",
-            "replay_profile",
             "service_host",
             "service_port",
-            "store_ingest",
             "store_index",
         )
 
@@ -318,6 +315,7 @@ class TestKnobSurface:
             ["--no-pool-warmup"],
             ["--replay-batch", "4"],
             ["--pool-chunk", "1"],
+            ["--replay-profile"],
         ],
     )
     def test_removed_cli_flags_are_argparse_errors(self, flag, capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import pickle
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 
 from repro.api.config import PROCESSES_ENV_VAR, RuntimeConfig
 from repro.api.session import Session
+from repro.api.specs import JobSpec, Workload
 from repro.core.config import SMASHConfig
 from repro.eval.cli import main as cli_main
 from repro.eval.experiments import experiment_fig10_11, experiment_fig16_17, experiment_spadd
@@ -351,6 +353,17 @@ class TestSweepRunner:
         with pytest.raises(ValueError, match="at least 1"):
             SweepRunner(processes=0)
 
+    def test_pinned_trace_chunk_zero_means_monolithic(self):
+        job = _quick_jobs()[0]
+        runner = SweepRunner(trace_chunk=0)
+        assert runner.trace_chunk is None
+        assert runner.run([job])[0] == SweepRunner(trace_chunk=None).run([job])[0]
+
+    @pytest.mark.parametrize("chunk", [-1, True])
+    def test_invalid_trace_chunk_raises_at_construction(self, chunk):
+        with pytest.raises(ValueError, match="trace chunk budget"):
+            SweepRunner(trace_chunk=chunk)
+
     def test_app_jobs_execute(self):
         job = app_job(
             "pagerank", "taco_csr", graph_source("G2", 32), SIM,
@@ -358,6 +371,22 @@ class TestSweepRunner:
         )
         report = execute_job(job)
         assert report.kernel == "pagerank" and report.total_instructions > 0
+
+
+class TestDriverSessions:
+    def test_default_session_is_closed_after_the_driver(self, monkeypatch):
+        monkeypatch.setenv(PROCESSES_ENV_VAR, "2")
+        before = set(multiprocessing.active_children())
+        experiment_fig10_11(keys=("M2",), dim=64)
+        leaked = [c for c in multiprocessing.active_children() if c not in before]
+        assert leaked == []
+
+    def test_passed_session_stays_open(self):
+        runtime = RuntimeConfig(processes=1, cache_dir=None)
+        with Session(runtime=runtime) as session:
+            experiment_fig10_11(keys=("M2",), dim=64, session=session)
+            spec = JobSpec("spmv", "taco_csr", Workload.suite("M2", 64))
+            assert session.submit(spec).result() == session.run(spec)
 
 
 class TestDeterminism:

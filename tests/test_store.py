@@ -143,12 +143,6 @@ class TestIngestAndReindex:
         assert len(keys) == len(result.reports)
         assert all(len(key) == 64 for key in keys)
 
-    def test_store_ingest_knob_disables_the_hook(self, tmp_path):
-        runtime = RuntimeConfig(processes=1, cache_dir=tmp_path, store_ingest=False)
-        with Session(sim=SIM, runtime=runtime) as session:
-            session.sweep(_sweep_spec())
-        assert not ResultStore(tmp_path).exists()
-
     def test_broken_indexer_degrades_without_failing_the_sweep(self, tmp_path):
         runtime = RuntimeConfig(processes=1, cache_dir=tmp_path)
         with Session(sim=SIM, runtime=runtime) as session:
@@ -166,11 +160,6 @@ class TestIngestAndReindex:
             assert indexer._failed is True
 
     def test_runtime_env_knobs(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("SMASH_REPRO_STORE", "off")
-        assert RuntimeConfig.from_env().store_ingest is False
-        monkeypatch.setenv("SMASH_REPRO_STORE", "1")
-        assert RuntimeConfig.from_env().store_ingest is True
-        monkeypatch.delenv("SMASH_REPRO_STORE")
         monkeypatch.setenv("SMASH_REPRO_STORE_INDEX", str(tmp_path / "alt.sqlite"))
         assert RuntimeConfig.from_env().store_index == str(tmp_path / "alt.sqlite")
 
@@ -377,10 +366,13 @@ class TestStoreCli:
 
 
 class TestIndexerAttachment:
-    def test_attach_indexer_is_idempotent_per_cache(self, tmp_path):
+    def test_attach_indexer_replaces_the_cache_hook(self, tmp_path):
         cache = ReportCache(tmp_path)
         first = attach_indexer(cache)
         assert cache.indexer is first
+        second = attach_indexer(cache)
+        assert second is not first
+        assert cache.indexer is second
         # A cached Session wires an indexer onto the cache it owns.
         runtime = RuntimeConfig(processes=1, cache_dir=tmp_path)
         with Session(sim=SIM, runtime=runtime) as session:
