@@ -15,7 +15,7 @@ Run with::
 
 import numpy as np
 
-from repro.core import ConfigAutotuner, SMASHConfig
+from repro.core import SMASHConfig
 from repro.sim import SimConfig
 from repro.solvers import (
     conjugate_gradient_solve,
@@ -30,11 +30,9 @@ def main() -> None:
     print(f"System: {matrix.rows}x{matrix.cols}, {matrix.nnz} non-zeros "
           f"({matrix.sparsity_percent:.2f}% dense)")
 
-    # Let the autotuner pick the bitmap configuration for this matrix.
-    tuned = ConfigAutotuner(sim).tune(matrix)
-    config = tuned.best_config
-    print(f"Autotuned SMASH configuration: {config.label()} "
-          f"(locality {tuned.best.locality_percent:.0f}%)")
+    # One bitmap level over 4-element blocks suits this banded system.
+    config = SMASHConfig((4,))
+    print(f"SMASH configuration: {config.label()}")
     print()
 
     reference = np.linalg.solve(matrix.to_dense(), b)

@@ -114,9 +114,7 @@ class Session:
         with a worker pool, ``submit`` returns immediately. Raises
         ``RuntimeError`` once the Session is closed.
         """
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("cannot submit to a closed Session")
+        self._check_open()
         sim = sim if sim is not None else self.sim
         return self._runner.submit(spec.to_job(sim=sim, smash=self.smash))
 
@@ -142,8 +140,10 @@ class Session:
         override of their own (the figure drivers use this for their
         per-experiment cache scaling). Identical jobs are deduplicated and
         cached by the owned sweep engine; reports come back in submission
-        order regardless of where each one came from.
+        order regardless of where each one came from. Raises
+        ``RuntimeError`` once the Session is closed.
         """
+        self._check_open()
         specs = tuple(specs)
         sim = sim if sim is not None else self.sim
         jobs = [spec.to_job(sim=sim, smash=self.smash) for spec in specs]
@@ -195,14 +195,20 @@ class Session:
         """A consistent copy of the counters (taken under the engine lock)."""
         return self._runner.stats_snapshot()
 
+    def _check_open(self) -> None:
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("cannot submit to a closed Session")
+
     def close(self) -> None:
         """Drain in-flight futures and release the executor (idempotent).
 
         Thread-safe: concurrent closers race benignly (one drains, the
         rest return once it is done), and every job in flight at the time
         of the call resolves before the pool is torn down — a future
-        obtained from :meth:`submit` never dangles. Subsequent
-        :meth:`submit` calls are refused; the report cache persists.
+        obtained from :meth:`submit` never dangles. Later :meth:`submit`,
+        :meth:`run` and :meth:`sweep` calls raise ``RuntimeError``; the
+        report cache persists.
         """
         with self._lock:
             self._closed = True

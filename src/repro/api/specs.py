@@ -12,15 +12,15 @@ the scheme runners.
 (:meth:`SweepSpec.product`) that replaces the hand-enumerated job loops of
 the figure drivers. :class:`SweepResult` pairs each spec with its
 :class:`~repro.sim.instrumentation.CostReport` and supports declarative
-selection (``result.select(kernel="spmv", scheme="taco_csr")``). Workload
-identifiers resolve through the matrix/graph registries
-(:data:`repro.workloads.suite.MATRIX_REGISTRY`,
-:data:`repro.graphs.generators.GRAPH_REGISTRY`).
+selection (``result.select(kernel="spmv", scheme="taco_csr")``).
 
-Workload descriptions stay the *same tuples* the sweep engine has always
-cached under (``("suite", key, dim, seed)`` …), so a spec-built job hashes
-to the identical content key as a hand-built
-:func:`repro.eval.runner.kernel_job` — existing report caches remain valid.
+A spec's workload is a source tuple from :mod:`repro.workloads.sources`,
+the one module that knows that format: :class:`Workload` (re-exported
+here) builds and validates sources, and :func:`suite_nnz` reads a suite
+matrix's non-zero count through the shared workload memo. A spec-built job
+hashes to the identical content key as a hand-built
+:func:`repro.eval.runner.kernel_job`, so existing report caches remain
+valid.
 
 Specs also round-trip through plain JSON documents
 (:meth:`JobSpec.to_payload` / :meth:`JobSpec.from_payload`,
@@ -33,22 +33,12 @@ identical cache key as the original (DESIGN.md section 15).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union, cast
 
 from repro.api.registry import UnknownNameError, suggestion
 from repro.core.config import SMASHConfig
-from repro.eval.runner import (
-    APP_KINDS,
-    KERNEL_KINDS,
-    Job,
-    app_job,
-    graph_source,
-    kernel_job,
-    locality_source,
-    suite_source,
-)
+from repro.eval.runner import APP_KINDS, KERNEL_KINDS, Job, app_job, kernel_job
 from repro.sim.config import (
     CacheConfig,
     CPUConfig,
@@ -57,80 +47,11 @@ from repro.sim.config import (
     SimConfig,
 )
 from repro.sim.instrumentation import CostReport
+from repro.workloads.sources import Workload, source_fields, suite_nnz, validate_source
 
 #: Sentinel: SweepSpec.product derives each suite matrix's SMASH config from
 #: its Table 3 spec (``MatrixSpec.smash_config()``).
 PER_MATRIX = object()
-
-
-@functools.lru_cache(maxsize=None)
-def suite_nnz(key: str, dim: Optional[int] = None) -> int:
-    """Non-zero count of one suite analogue, memoized per (matrix, dim).
-
-    Drivers and :meth:`SweepSpec.product` use it for the skip-empty-workload
-    guard; memoizing avoids regenerating the same (deterministic) matrix
-    once per kernel and per driver in the enumeration loops.
-    """
-    from repro.workloads.suite import generate_matrix
-
-    return generate_matrix(key, dim=dim).nnz
-
-
-class Workload:
-    """Typed constructors for workload source tuples.
-
-    Each constructor validates its identifiers against the workload
-    registries (:data:`repro.workloads.suite.MATRIX_REGISTRY`,
-    :data:`repro.graphs.generators.GRAPH_REGISTRY`) with did-you-mean
-    suggestions, and returns the exact tuple the sweep engine caches under,
-    so the declarative path and the historical ``*_source`` helpers produce
-    identical job keys.
-    """
-
-    @staticmethod
-    def suite(key: str, dim: Optional[int] = None, seed: Optional[int] = None) -> Tuple:
-        """A Table 3 suite matrix (synthetic analogue, ``generate_matrix``)."""
-        from repro.workloads.suite import get_spec
-
-        get_spec(key)  # did-you-mean validation at the API boundary
-        return suite_source(key, dim, seed)
-
-    @staticmethod
-    def locality(
-        rows: int, cols: int, nnz: int, block_size: int, locality_percent: float, seed: int
-    ) -> Tuple:
-        """A controlled-locality matrix (Figures 16/17)."""
-        return locality_source(rows, cols, nnz, block_size, locality_percent, seed)
-
-    @staticmethod
-    def graph(key: str, n_vertices: Optional[int] = None) -> Tuple:
-        """A Table 4 graph (synthetic analogue, ``generate_graph``)."""
-        from repro.graphs.generators import get_graph_spec
-
-        get_graph_spec(key)  # did-you-mean validation at the API boundary
-        return graph_source(key, n_vertices)
-
-
-_WORKLOAD_TAGS = ("suite", "locality", "graph")
-
-
-def _validate_workload(workload: Sequence) -> Tuple:
-    workload = tuple(workload)
-    if not workload or workload[0] not in _WORKLOAD_TAGS:
-        tag = workload[0] if workload else None
-        raise UnknownNameError(
-            f"unknown workload source {tag!r};{suggestion(str(tag), _WORKLOAD_TAGS)} "
-            f"known sources: {list(_WORKLOAD_TAGS)}"
-        )
-    if workload[0] == "suite":
-        from repro.workloads.suite import get_spec
-
-        get_spec(workload[1])
-    elif workload[0] == "graph":
-        from repro.graphs.generators import get_graph_spec
-
-        get_graph_spec(workload[1])
-    return workload
 
 
 def _freeze_params(params) -> Tuple[Tuple[str, Union[int, float, str]], ...]:
@@ -196,7 +117,7 @@ class JobSpec:
         from repro.kernels.schemes import SCHEME_REGISTRY
 
         SCHEME_REGISTRY.resolve(self.scheme)
-        object.__setattr__(self, "workload", _validate_workload(self.workload))
+        object.__setattr__(self, "workload", validate_source(self.workload))
         object.__setattr__(self, "params", _freeze_params(self.params))
 
     # ------------------------------------------------------------------ #
@@ -205,12 +126,12 @@ class JobSpec:
     @property
     def workload_kind(self) -> str:
         """The workload source tag: ``suite``, ``locality`` or ``graph``."""
-        return self.workload[0]
+        return source_fields(self.workload)[0]
 
     @property
     def workload_key(self) -> Optional[str]:
         """The matrix/graph id for suite and graph workloads, else ``None``."""
-        return self.workload[1] if self.workload_kind in ("suite", "graph") else None
+        return source_fields(self.workload)[1]
 
     def to_job(self, sim: Optional[SimConfig] = None, smash: Optional[SMASHConfig] = None) -> Job:
         """Lower this spec to a sweep-engine :class:`Job`.
@@ -328,7 +249,7 @@ class SweepSpec:
         for key in graphs:
             sources.append((Workload.graph(key, n_vertices), shared))
         for workload in workloads:
-            sources.append((_validate_workload(workload), shared))
+            sources.append((validate_source(workload), shared))
         return cls(
             tuple(
                 JobSpec(

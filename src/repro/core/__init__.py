@@ -30,7 +30,6 @@ from repro.core.conversion import (
     dense_to_smash,
     estimate_conversion_cost,
 )
-from repro.core.autotune import ConfigAutotuner, TuningCandidate, TuningResult
 
 __all__ = [
     "Bitmap",
@@ -46,7 +45,4 @@ __all__ = [
     "smash_to_csr",
     "dense_to_smash",
     "estimate_conversion_cost",
-    "ConfigAutotuner",
-    "TuningCandidate",
-    "TuningResult",
 ]

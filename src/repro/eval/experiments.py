@@ -30,17 +30,18 @@ import numpy as np
 
 from repro.api.config import RuntimeConfig
 from repro.api.session import Session
-from repro.api.specs import JobSpec, SweepSpec, Workload, suite_nnz
+from repro.api.specs import JobSpec, SweepSpec
 from repro.core.config import SMASHConfig
 from repro.core.conversion import csr_to_smash, estimate_conversion_cost, smash_to_csr
 from repro.core.smash_matrix import SMASHMatrix
 from repro.eval.comparison import arithmetic_mean, geometric_mean
 from repro.formats.convert import coo_to_csr
-from repro.graphs.generators import GRAPH_SPECS, generate_graph, get_graph_spec
+from repro.graphs.generators import GRAPH_SPECS
 from repro.hardware.area import AreaModel
 from repro.hardware.bmu import BitmapManagementUnit
 from repro.sim.config import RealSystemConfig, SimConfig
-from repro.workloads.suite import SUITE_SPECS, generate_matrix, get_spec, stable_seed
+from repro.workloads.sources import Workload, materialize_source, suite_nnz
+from repro.workloads.suite import SUITE_SPECS, get_spec, stable_seed
 
 #: Default matrix ids (the full Table 3 suite).
 ALL_MATRICES = tuple(spec.key for spec in SUITE_SPECS)
@@ -152,7 +153,7 @@ def experiment_table3(dim: Optional[int] = None) -> Dict:
     """The evaluated matrices (Table 3) and their synthetic analogues."""
     rows = []
     for spec in SUITE_SPECS:
-        coo = generate_matrix(spec, dim=dim)
+        coo = materialize_source(Workload.suite(spec.key, dim))
         rows.append(
             {
                 "id": spec.key,
@@ -174,7 +175,7 @@ def experiment_table4(n_vertices: Optional[int] = None) -> Dict:
     """The input graphs (Table 4) and their synthetic analogues."""
     rows = []
     for spec in GRAPH_SPECS:
-        graph = generate_graph(spec, n_vertices=n_vertices)
+        graph = materialize_source(Workload.graph(spec.key, n_vertices))
         rows.append(
             {
                 "id": spec.key,
@@ -620,7 +621,7 @@ def experiment_fig19(
     """
     per_matrix: Dict[str, Dict[str, float]] = {}
     for spec in _suite(keys):
-        coo = generate_matrix(spec, dim=dim)
+        coo = materialize_source(Workload.suite(spec.key, dim))
         if coo.nnz == 0:
             continue
         csr = coo_to_csr(coo)
@@ -701,19 +702,19 @@ def experiment_fig20(
         spmv_report, spmm_report, pr_report = engine.sweep(specs, sim=sim).reports
 
     # SpMV: single short-running kernel invocation.
-    csr = coo_to_csr(generate_matrix(spmv_spec, dim=spmv_dim))
+    csr = coo_to_csr(materialize_source(specs[0].workload))
     smash, to_cost = csr_to_smash(csr, spmv_spec.smash_config())
     _, back_cost = smash_to_csr(smash)
     record("spmv", to_cost.cycles(sim), spmv_report.cycles, back_cost.cycles(sim))
 
     # SpMM: a much longer-running kernel.
-    csr = coo_to_csr(generate_matrix(spmm_spec, dim=spmm_dim))
+    csr = coo_to_csr(materialize_source(specs[1].workload))
     smash, to_cost = csr_to_smash(csr, spmm_spec.smash_config())
     _, back_cost = smash_to_csr(smash)
     record("spmm", to_cost.cycles(sim), spmm_report.cycles, back_cost.cycles(sim))
 
     # PageRank: many SpMV iterations over the same matrix.
-    graph = generate_graph(get_graph_spec(graph_key), n_vertices=n_vertices)
+    graph = materialize_source(specs[2].workload)
     csr = coo_to_csr(graph.transition_matrix())
     round_trip = estimate_conversion_cost(csr, pagerank_config, round_trip=True)
     record("pagerank", round_trip.cycles(sim) / 2.0, pr_report.cycles, round_trip.cycles(sim) / 2.0)

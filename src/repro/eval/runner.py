@@ -14,11 +14,11 @@ Design invariants (see DESIGN.md sections 9 and 15):
 
 * **Jobs are pure.** A job carries a *description* of its workload (a
   ``source`` tuple naming the generator and its seed), never the matrix
-  itself; workers rebuild the workload from the description, so a job's
-  result is a function of its fields alone. Each process builds a matrix
-  source at most once: :func:`materialize_source` memoizes it in a bounded
-  LRU with read-only arrays, and the format constructors that consume it
-  still validate every operand they build.
+  itself; workers rebuild the workload from the description through
+  :func:`repro.workloads.sources.materialize_source`, so a job's result is
+  a function of its fields alone. That memo builds each source at most
+  once per process, and the format constructors that consume a shared
+  matrix still validate every operand they build.
 * **Keys are content hashes.** ``job_key`` is the SHA-256 of the canonical
   JSON of the job's fields (including the full ``SimConfig``), so any
   configuration change invalidates exactly the affected cache entries.
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import functools
 import hashlib
 import itertools
 import json
@@ -60,6 +59,9 @@ from repro.core.config import SMASHConfig
 from repro.sim import trace as _trace
 from repro.sim.config import SimConfig
 from repro.sim.instrumentation import CostReport
+# ``execute_job`` calls this module-global binding, so a tracer can wrap
+# ``repro.eval.runner.materialize_source`` (perfbench's span does).
+from repro.workloads.sources import materialize_source
 
 #: Bumped whenever the job payload or report layout changes incompatibly;
 #: entries written under another schema are treated as cache misses.
@@ -79,74 +81,6 @@ APP_KINDS = ("pagerank", "bc")
 #: key so e.g. a ``taco_csr`` baseline is shared across drivers that pass
 #: different per-matrix SMASH configurations.
 _SMASH_SCHEMES = ("smash_sw", "smash_hw")
-
-
-# --------------------------------------------------------------------------- #
-# Workload sources
-# --------------------------------------------------------------------------- #
-def suite_source(key: str, dim: Optional[int] = None, seed: Optional[int] = None) -> Tuple:
-    """Workload description for a Table 3 suite matrix (``generate_matrix``)."""
-    return ("suite", key, dim, seed)
-
-
-def locality_source(
-    rows: int, cols: int, nnz: int, block_size: int, locality_percent: float, seed: int
-) -> Tuple:
-    """Workload description for a controlled-locality matrix (Figures 16/17)."""
-    return ("locality", rows, cols, nnz, block_size, locality_percent, seed)
-
-
-def graph_source(key: str, n_vertices: Optional[int] = None) -> Tuple:
-    """Workload description for a Table 4 graph (``generate_graph``)."""
-    return ("graph", key, n_vertices)
-
-
-#: Most matrices one process keeps built (see :func:`materialize_source`).
-#: A Figure 10 sweep touches 15 sources; a Table 3 matrix at its scaled
-#: dimension takes under 100 KB (24 bytes per non-zero).
-MATRIX_MEMO_SIZE = 32
-
-
-def materialize_source(source: Sequence):
-    """Rebuild the workload (COO matrix or graph) a source tuple describes.
-
-    Matrix sources (``suite``, ``locality``) are built at most once per
-    process per source: the result is memoized in a bounded LRU and shared
-    by every job that names the same source, with its arrays made read-only
-    so an in-place write raises instead of leaking into a later job. Graph
-    sources are rebuilt on every call.
-    """
-    tag = source[0]
-    if tag in ("suite", "locality"):
-        return _build_matrix(*source)
-    if tag == "graph":
-        from repro.graphs.generators import generate_graph, get_graph_spec
-
-        _, key, n_vertices = source
-        return generate_graph(get_graph_spec(key), n_vertices=n_vertices)
-    raise ValueError(f"unknown workload source {source!r}")
-
-
-@functools.lru_cache(maxsize=MATRIX_MEMO_SIZE, typed=True)
-def _build_matrix(tag: str, *args):
-    """The memoized, read-only COO matrix of one ``suite``/``locality`` source.
-
-    ``typed=True`` keys each source field by its type as well as its value,
-    so e.g. ``dim=64`` and ``dim=64.0`` never share an entry.
-    """
-    if tag == "suite":
-        from repro.workloads.suite import generate_matrix
-
-        key, dim, seed = args
-        coo = generate_matrix(key, dim=dim, seed=seed)
-    else:
-        from repro.workloads.locality import matrix_with_locality
-
-        rows, cols, nnz, block_size, locality_percent, seed = args
-        coo = matrix_with_locality(rows, cols, nnz, block_size, locality_percent, seed=seed)
-    for array in (coo.row, coo.col, coo.values):
-        array.setflags(write=False)
-    return coo
 
 
 # --------------------------------------------------------------------------- #

@@ -42,7 +42,8 @@ class Graph:
                 continue
             seen.add(key)
             cleaned.append((u, v))
-        self._edges = cleaned
+        # A tuple, so a graph shared by the workload memo cannot be changed.
+        self._edges = tuple(cleaned)
 
     # ------------------------------------------------------------------ #
     # Basic properties

@@ -31,7 +31,6 @@ from repro.sim.config import (
 from repro.sim.cache import Cache, CacheStats
 from repro.sim.prefetcher import StridePrefetcher
 from repro.sim.memory import AccessType, MemoryHierarchy, MemoryRequest
-from repro.sim.cpu import CPUModel
 from repro.sim.energy import EnergyModel, EnergyParameters, EnergyReport
 from repro.sim.instrumentation import (
     InstructionCounter,
@@ -60,7 +59,6 @@ __all__ = [
     "AccessType",
     "MemoryHierarchy",
     "MemoryRequest",
-    "CPUModel",
     "EnergyModel",
     "EnergyParameters",
     "EnergyReport",

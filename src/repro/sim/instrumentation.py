@@ -4,8 +4,7 @@ Kernels record their work through :class:`KernelInstrumentation` in one of
 two ways:
 
 * the **batched trace API** (:meth:`~KernelInstrumentation.count_batch`,
-  :meth:`~KernelInstrumentation.load_batch`,
-  :meth:`~KernelInstrumentation.store_batch`,
+  :meth:`~KernelInstrumentation.trace_builder`,
   :meth:`~KernelInstrumentation.replay_trace`), where whole numpy arrays of
   offsets and bulk instruction-class counts are recorded per call — the
   primary path used by every kernel in :mod:`repro.kernels`;
@@ -341,43 +340,6 @@ class KernelInstrumentation:
         )
         addresses = bases[trace.struct_ids] + trace.offsets
         self.memory.replay(trace.structures, trace.struct_ids, addresses, trace.kinds)
-
-    def load_batch(
-        self,
-        structure: str,
-        offsets,
-        dependent: bool = False,
-        count_instructions: bool = True,
-    ) -> None:
-        """Record a homogeneous batch of loads from one structure."""
-        offs = np.ascontiguousarray(offsets, dtype=np.int64)
-        if offs.size == 0:
-            return
-        if count_instructions:
-            self.instructions.add(InstructionClass.LOAD, offs.size)
-        kind = KIND_DEPENDENT if dependent else KIND_STREAM
-        base = self.address_space.address(structure, 0)
-        self.memory.replay(
-            (structure,),
-            np.zeros(offs.size, dtype=np.int64),
-            base + offs,
-            np.full(offs.size, kind, dtype=np.uint8),
-        )
-
-    def store_batch(self, structure: str, offsets, count_instructions: bool = True) -> None:
-        """Record a homogeneous batch of stores to one structure."""
-        offs = np.ascontiguousarray(offsets, dtype=np.int64)
-        if offs.size == 0:
-            return
-        if count_instructions:
-            self.instructions.add(InstructionClass.STORE, offs.size)
-        base = self.address_space.address(structure, 0)
-        self.memory.replay(
-            (structure,),
-            np.zeros(offs.size, dtype=np.int64),
-            base + offs,
-            np.full(offs.size, KIND_WRITE, dtype=np.uint8),
-        )
 
     # -- legacy per-element API (thin shim over the batched engine) ----- #
     def load(

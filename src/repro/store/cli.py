@@ -36,6 +36,7 @@ from repro.store.index import (
 )
 from repro.store.query import FORMATS, render_rows
 from repro.store.tables import TABLE_IDS, render_tables
+from repro.workloads.sources import SOURCE_TAGS
 
 #: Signature of the injected experiment resolver (see module docstring).
 ExperimentResolver = Callable[[str, bool], Tuple[str, ...]]
@@ -92,7 +93,7 @@ def add_store_subcommands(subparsers) -> None:
     query_parser.add_argument(
         "--workload-kind",
         default=None,
-        choices=("suite", "locality", "graph"),
+        choices=SOURCE_TAGS,
         help="filter: workload family",
     )
     query_parser.add_argument("--dim", type=int, default=None, help="filter: dense dimension")

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.eval.runner import CACHE_SCHEMA_VERSION, ReportCache
+from repro.workloads.sources import source_fields
 
 #: Bumped whenever the index schema changes incompatibly; a database written
 #: under another version refuses to serve queries until reindexed.
@@ -121,16 +122,7 @@ def document_row(key: str, document: object) -> Optional[Dict[str, object]]:
         return None
     try:
         source = list(job["source"])
-        workload_kind = str(source[0])
-        workload_key = (
-            str(source[1]) if workload_kind in ("suite", "graph") else None
-        )
-        if workload_kind in ("suite", "graph"):
-            dim = source[2] if len(source) > 2 else None
-        elif workload_kind == "locality":
-            dim = source[1]
-        else:
-            dim = None
+        workload_kind, workload_key, dim = source_fields(source)
         issue_cycles = float(report["issue_cycles"])
         stall_cycles = float(report["memory_stall_cycles"])
         return {

@@ -6,6 +6,8 @@ provides generators that reproduce the properties the evaluation depends on —
 matrix shape class, sparsity (non-zero fraction) and locality of sparsity
 (clustering of non-zeros) — at sizes small enough for the pure-Python cost
 model. See DESIGN.md section 2 for the substitution rationale.
+:mod:`repro.workloads.sources` holds the source tuples that name these
+workloads in jobs, and the one per-process memo that builds them.
 """
 
 from repro.workloads.synthetic import (

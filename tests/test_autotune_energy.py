@@ -1,77 +1,16 @@
-"""Tests for the configuration autotuner and the energy model."""
+"""Tests for the energy model."""
 
-import numpy as np
 import pytest
 
-from repro.core.autotune import ConfigAutotuner, TuningResult
 from repro.core.config import SMASHConfig
-from repro.formats.coo import COOMatrix
 from repro.sim.config import SimConfig
 from repro.sim.energy import EnergyModel, EnergyParameters
-from repro.workloads.locality import matrix_with_locality
-from repro.workloads.synthetic import clustered_matrix, uniform_random_matrix
+from repro.workloads.synthetic import clustered_matrix
 
 
 @pytest.fixture(scope="module")
 def sim():
     return SimConfig.scaled(16)
-
-
-class TestAutotuner:
-    def test_candidates_are_unique_valid_configs(self):
-        tuner = ConfigAutotuner()
-        candidates = tuner.candidates()
-        labels = [c.label() for c in candidates]
-        assert len(labels) == len(set(labels))
-        assert all(isinstance(c, SMASHConfig) for c in candidates)
-
-    def test_best_config_is_cheapest_candidate(self, sim):
-        coo = clustered_matrix(96, 96, 0.03, cluster_size=6, cluster_height=3, seed=1)
-        result = ConfigAutotuner(sim).tune(coo)
-        assert isinstance(result, TuningResult)
-        cycles = [c.cycles for c in result.ranking]
-        assert cycles == sorted(cycles)
-        assert result.best.cycles == cycles[0]
-        assert result.best_config == result.ranking[0].config
-
-    def test_highly_clustered_matrix_prefers_larger_blocks(self, sim):
-        clustered = matrix_with_locality(128, 128, nnz=800, block_size=8,
-                                         locality_percent=100, seed=2)
-        scattered = matrix_with_locality(128, 128, nnz=800, block_size=8,
-                                         locality_percent=12.5, seed=2)
-        tuner = ConfigAutotuner(sim)
-        block_clustered = tuner.tune(clustered).best_config.block_size
-        block_scattered = tuner.tune(scattered).best_config.block_size
-        assert block_clustered >= block_scattered
-
-    def test_sample_dim_reduces_work_but_returns_valid_config(self, sim):
-        coo = uniform_random_matrix(192, 192, 0.02, seed=3)
-        result = ConfigAutotuner(sim).tune(coo, sample_dim=64)
-        assert result.best_config.block_size in (2, 4, 8)
-
-    def test_storage_weight_prefers_compact_configs(self, sim):
-        coo = uniform_random_matrix(96, 96, 0.02, seed=4)
-        fast = ConfigAutotuner(sim, storage_weight=0.0).tune(coo)
-        compact = ConfigAutotuner(sim, storage_weight=100.0).tune(coo)
-        assert compact.best.storage_bytes <= fast.best.storage_bytes
-
-    def test_tuned_config_runs_end_to_end(self, kernel_session, sim):
-        coo = clustered_matrix(96, 96, 0.03, seed=5)
-        best = ConfigAutotuner(sim).tune(coo).best_config
-        x = np.random.default_rng(7).uniform(0.1, 1.0, size=96)
-        result = kernel_session.run_kernel("spmv", "smash_hw", coo, x=x, smash=best, sim=sim)
-        np.testing.assert_allclose(result.output, coo.to_dense() @ x)
-        assert result.report.cycles > 0
-
-    def test_empty_matrix_rejected(self, sim):
-        with pytest.raises(ValueError):
-            ConfigAutotuner(sim).tune(COOMatrix((16, 16), [], [], []))
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            ConfigAutotuner(block_sizes=())
-        with pytest.raises(ValueError):
-            ConfigAutotuner(storage_weight=-1.0)
 
 
 class TestEnergyModel:

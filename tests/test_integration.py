@@ -12,7 +12,6 @@ from repro.graphs.pagerank import pagerank, pagerank_reference
 from repro.hardware.isa import SMASHISA
 from repro.kernels.schemes import SCHEMES
 from repro.sim.config import SimConfig
-from repro.sim.cpu import CPUModel
 from repro.workloads.suite import generate_matrix, get_spec
 
 
@@ -102,9 +101,6 @@ class TestGraphApplicationEndToEnd:
         reference = pagerank_reference(graph, iterations=10)
         ranks, report = pagerank(graph, "smash_hw", iterations=10, sim_config=sim)
         np.testing.assert_allclose(ranks, reference, rtol=1e-9)
-        summary = CPUModel(sim).summarize(report)
-        assert summary.seconds > 0
-        assert summary.instructions == report.total_instructions
 
 
 class TestEnergyOfChangeInConfig:

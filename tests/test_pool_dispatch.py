@@ -30,15 +30,16 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.api.config import RuntimeConfig
+from repro.api.specs import Workload
 from repro.eval.cli import build_parser
-from repro.eval.runner import SweepRunner, kernel_job, suite_source
+from repro.eval.runner import SweepRunner, kernel_job
 from repro.sim.config import SimConfig
 
 SIM = SimConfig.scaled(16)
 
 
 def _job(key="M8", scheme="taco_csr", dim=48):
-    return kernel_job("spmv", scheme, suite_source(key, dim), SIM)
+    return kernel_job("spmv", scheme, Workload.suite(key, dim), SIM)
 
 
 _SCHEMES = ("taco_csr", "smash_hw", "mkl_csr", "smash_sw", "taco_bcsr", "ideal_csr")
@@ -131,7 +132,9 @@ class TestChunkFailure:
         # bad job come last, so they share the final chunk and every other
         # chunk has resolved by the time the failure surfaces.
         runner, n_jobs = _pooled(2, cache_dir=tmp_path)
-        good, bad = _job("M5", dim=56), _job("NOPE")
+        good = _job("M5", dim=56)
+        # A raw, unvalidated source: the job fails in its worker.
+        bad = kernel_job("spmv", "taco_csr", ("suite", "NOPE", None, None), SIM)
         jobs = _jobs(n_jobs - 2) + [good, bad]
         with runner:
             with pytest.raises(Exception):

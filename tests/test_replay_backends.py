@@ -346,9 +346,10 @@ class TestBackendSelection:
 
     def test_backend_not_in_job_key(self):
         """Like every runtime knob, the engine must not split the cache."""
-        from repro.eval.runner import Job, job_key, suite_source
+        from repro.api.specs import Workload
+        from repro.eval.runner import Job, job_key
 
-        job = Job("spmv", "taco_csr", suite_source("M2", 64), SimConfig.scaled(16))
+        job = Job("spmv", "taco_csr", Workload.suite("M2", 64), SimConfig.scaled(16))
         assert "backend" not in str(sorted(job.payload()))
         assert job_key(job) == job_key(job)
 

@@ -22,21 +22,17 @@ from repro.eval.runner import (
     APP_KINDS,
     CACHE_SCHEMA_VERSION,
     KERNEL_KINDS,
-    MATRIX_MEMO_SIZE,
     Job,
     ReportCache,
     SweepRunner,
     app_job,
     execute_job,
-    graph_source,
     job_key,
     kernel_job,
-    locality_source,
-    materialize_source,
-    suite_source,
 )
-from repro.eval.runner import _build_matrix as matrix_memo
 from repro.kernels.registry import registered_schemes
+from repro.workloads.sources import MEMO_SIZE, materialize_source
+from repro.workloads.sources import _build as workload_memo
 from repro.sim.config import CacheConfig, CPUConfig, DRAMConfig, InstructionCosts, SimConfig
 from repro.sim.instrumentation import CostReport
 
@@ -47,7 +43,7 @@ SIM = SimConfig.scaled(16)
 def _quick_jobs(dim=48):
     config = SMASHConfig((2, 4, 16))
     return [
-        kernel_job("spmv", scheme, suite_source(key, dim), SIM, smash_config=config)
+        kernel_job("spmv", scheme, Workload.suite(key, dim), SIM, smash_config=config)
         for key in QUICK
         for scheme in ("taco_csr", "smash_hw")
     ]
@@ -60,25 +56,25 @@ class TestJobsAndKeys:
         assert len(job_key(job)) == 64
 
     def test_key_changes_with_sim_config(self):
-        source = suite_source("M8", 48)
+        source = Workload.suite("M8", 48)
         a = kernel_job("spmv", "taco_csr", source, SimConfig.scaled(16))
         b = kernel_job("spmv", "taco_csr", source, SimConfig.scaled(32))
         assert job_key(a) != job_key(b)
 
     def test_key_changes_with_workload_and_scheme(self):
-        base = kernel_job("spmv", "taco_csr", suite_source("M8", 48), SIM)
+        base = kernel_job("spmv", "taco_csr", Workload.suite("M8", 48), SIM)
         assert job_key(base) != job_key(
-            kernel_job("spmv", "taco_csr", suite_source("M5", 48), SIM)
+            kernel_job("spmv", "taco_csr", Workload.suite("M5", 48), SIM)
         )
         assert job_key(base) != job_key(
-            kernel_job("spmv", "mkl_csr", suite_source("M8", 48), SIM)
+            kernel_job("spmv", "mkl_csr", Workload.suite("M8", 48), SIM)
         )
         assert job_key(base) != job_key(
-            kernel_job("spmm", "taco_csr", suite_source("M8", 48), SIM)
+            kernel_job("spmm", "taco_csr", Workload.suite("M8", 48), SIM)
         )
 
     def test_smash_config_normalized_out_for_csr_schemes(self):
-        source = suite_source("M8", 48)
+        source = Workload.suite("M8", 48)
         plain = kernel_job("spmv", "taco_csr", source, SIM)
         with_config = kernel_job(
             "spmv", "taco_csr", source, SIM, smash_config=SMASHConfig((8, 4, 16))
@@ -91,18 +87,18 @@ class TestJobsAndKeys:
 
     def test_rejects_unknown_kinds(self):
         with pytest.raises(ValueError):
-            kernel_job("spgemm", "taco_csr", suite_source("M8"), SIM)
+            kernel_job("spgemm", "taco_csr", Workload.suite("M8"), SIM)
         with pytest.raises(ValueError):
-            app_job("bfs", "taco_csr", graph_source("G1"), SIM)
+            app_job("bfs", "taco_csr", Workload.graph("G1"), SIM)
         with pytest.raises(ValueError):
-            execute_job(Job("nope", "taco_csr", suite_source("M8"), SIM))
+            execute_job(Job("nope", "taco_csr", Workload.suite("M8"), SIM))
 
     def test_materialize_sources(self):
-        coo = materialize_source(suite_source("M8", 48))
+        coo = materialize_source(Workload.suite("M8", 48))
         assert coo.shape == (48, 48) and coo.nnz > 0
-        loc = materialize_source(locality_source(32, 32, 16, 8, 50.0, seed=3))
+        loc = materialize_source(Workload.locality(32, 32, 16, 8, 50.0, seed=3))
         assert loc.nnz > 0
-        graph = materialize_source(graph_source("G2", 32))
+        graph = materialize_source(Workload.graph("G2", 32))
         assert graph.n_vertices == 32
         with pytest.raises(ValueError):
             materialize_source(("nonsense", 1))
@@ -132,7 +128,7 @@ def _cpu_sim(frequency_ghz) -> SimConfig:
 class TestSimPayloadMemo:
     """``Job.payload()["sim"]`` is encoded once per SimConfig *instance*."""
 
-    SOURCE = suite_source("M8", 48)
+    SOURCE = Workload.suite("M8", 48)
 
     @pytest.mark.parametrize(
         "sim",
@@ -192,18 +188,18 @@ class TestSimPayloadMemo:
 
 
 class TestMatrixMemo:
-    """``materialize_source`` builds each matrix source once per process."""
+    """``materialize_source`` builds each workload source once per process."""
 
     def test_equal_sources_share_one_matrix(self):
-        source = suite_source("M8", 48, 5)
+        source = Workload.suite("M8", 48, 5)
         first = materialize_source(source)
-        assert materialize_source(suite_source("M8", 48, 5)) is first
+        assert materialize_source(Workload.suite("M8", 48, 5)) is first
         assert materialize_source(list(source)) is first
-        loc = locality_source(32, 32, 16, 8, 50.0, seed=3)
+        loc = Workload.locality(32, 32, 16, 8, 50.0, seed=3)
         assert materialize_source(loc) is materialize_source(tuple(loc))
 
     def test_cached_arrays_are_read_only(self):
-        coo = materialize_source(suite_source("M8", 48, 5))
+        coo = materialize_source(Workload.suite("M8", 48, 5))
         for array in (coo.row, coo.col, coo.values):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -212,9 +208,9 @@ class TestMatrixMemo:
                 array += 0
 
     def test_different_seed_or_dim_gives_another_matrix(self):
-        base = materialize_source(suite_source("M8", 48, 5))
-        other_seed = materialize_source(suite_source("M8", 48, 6))
-        other_dim = materialize_source(suite_source("M8", 64, 5))
+        base = materialize_source(Workload.suite("M8", 48, 5))
+        other_seed = materialize_source(Workload.suite("M8", 48, 6))
+        other_dim = materialize_source(Workload.suite("M8", 64, 5))
         assert other_seed is not base and other_dim is not base
         assert other_dim.shape == (64, 64)
         assert not (
@@ -222,36 +218,35 @@ class TestMatrixMemo:
             and np.array_equal(base.col, other_seed.col)
         )
         # Equal-valued fields of another type are another key.
-        int_loc = materialize_source(locality_source(32, 32, 16, 8, 50, seed=3))
-        assert int_loc is not materialize_source(locality_source(32, 32, 16, 8, 50.0, seed=3))
+        int_loc = materialize_source(Workload.locality(32, 32, 16, 8, 50, seed=3))
+        assert int_loc is not materialize_source(Workload.locality(32, 32, 16, 8, 50.0, seed=3))
 
     def test_memo_is_bounded(self):
-        assert matrix_memo.cache_info().maxsize == MATRIX_MEMO_SIZE > 0
-        matrix_memo.cache_clear()
-        for seed in range(MATRIX_MEMO_SIZE + 3):
-            materialize_source(locality_source(16, 16, 8, 4, 50.0, seed=seed))
-        assert matrix_memo.cache_info().currsize == MATRIX_MEMO_SIZE
+        assert workload_memo.cache_info().maxsize == MEMO_SIZE > 0
+        workload_memo.cache_clear()
+        for seed in range(MEMO_SIZE + 3):
+            materialize_source(Workload.locality(16, 16, 8, 4, 50.0, seed=seed))
+        assert workload_memo.cache_info().currsize == MEMO_SIZE
 
-    def test_graph_sources_are_rebuilt(self):
-        before = matrix_memo.cache_info()
-        first = materialize_source(graph_source("G2", 32))
-        second = materialize_source(graph_source("G2", 32))
-        assert first is not second
-        assert first.n_vertices == second.n_vertices == 32
-        assert first.edges == second.edges
-        after = matrix_memo.cache_info()
-        assert (after.hits, after.misses) == (before.hits, before.misses)
+    def test_graph_sources_are_memoized(self):
+        first = materialize_source(Workload.graph("G2", 32))
+        assert materialize_source(Workload.graph("G2", 32)) is first
+        assert materialize_source(list(Workload.graph("G2", 32))) is first
+        assert first.n_vertices == 32
+        assert isinstance(first._edges, tuple)
+        first.edges.append((0, 1))
+        assert first.edges == list(first._edges)
 
     def test_no_job_mutates_a_shared_matrix(self):
         """Every kernel/scheme pair and both apps, twice on one memoized source."""
         config = SMASHConfig((2, 4, 16))
-        source = suite_source("M8", 48, 5)
+        source = Workload.suite("M8", 48, 5)
         jobs = [
             kernel_job(kernel, scheme, source, SIM, smash_config=config)
             for kernel in KERNEL_KINDS
             for scheme in registered_schemes(kernel)
         ]
-        graph = graph_source("G2", 32)
+        graph = Workload.graph("G2", 32)
         app_params = {"pagerank": {"iterations": 2}, "bc": {"max_sources": 2}}
         jobs += [
             app_job(app, scheme, graph, SIM, smash_config=config, **app_params[app])
@@ -262,17 +257,17 @@ class TestMatrixMemo:
         def dump(payloads):
             return json.dumps(payloads, sort_keys=True).encode()
 
-        matrix_memo.cache_clear()
+        workload_memo.cache_clear()
         matrix = materialize_source(source)
         shared = [dump([execute_job(job).to_dict() for job in jobs]) for _ in range(2)]
-        assert matrix_memo.cache_info().misses == 1
+        assert workload_memo.cache_info().misses == 2  # the matrix and the graph
         fresh = []
         for job in jobs:
-            matrix_memo.cache_clear()
+            workload_memo.cache_clear()
             fresh.append(execute_job(job).to_dict())
         assert shared[0] == shared[1] == dump(fresh)
         # Values never reach a report, so compare the arrays themselves too.
-        matrix_memo.cache_clear()
+        workload_memo.cache_clear()
         rebuilt = materialize_source(source)
         for name in ("row", "col", "values"):
             assert getattr(matrix, name).tobytes() == getattr(rebuilt, name).tobytes()
@@ -313,7 +308,7 @@ class TestSweepRunner:
         assert cold_reports == warm_reports
 
     def test_cache_invalidated_by_sim_config_change(self, tmp_path):
-        source = suite_source("M8", 48)
+        source = Workload.suite("M8", 48)
         first = SweepRunner(cache_dir=tmp_path)
         first.run([kernel_job("spmv", "taco_csr", source, SimConfig.scaled(16))])
         second = SweepRunner(cache_dir=tmp_path)
@@ -366,7 +361,7 @@ class TestSweepRunner:
 
     def test_app_jobs_execute(self):
         job = app_job(
-            "pagerank", "taco_csr", graph_source("G2", 32), SIM,
+            "pagerank", "taco_csr", Workload.graph("G2", 32), SIM,
             smash_config=SMASHConfig((2, 4, 16)), iterations=2,
         )
         report = execute_job(job)

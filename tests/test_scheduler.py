@@ -14,6 +14,7 @@ from several threads and checks the counters afterwards.
 """
 
 import json
+import multiprocessing
 import os
 import threading
 
@@ -21,16 +22,16 @@ import pytest
 
 from repro.api.config import RuntimeConfig
 from repro.api.session import Session
-from repro.api.specs import SweepSpec
+from repro.api.specs import SweepSpec, Workload
 from repro.eval import runner as runner_module
-from repro.eval.runner import SweepRunner, job_key, kernel_job, suite_source
+from repro.eval.runner import SweepRunner, job_key, kernel_job
 from repro.sim.config import SimConfig
 
 SIM = SimConfig.scaled(16)
 
 
 def _job(key="M8", scheme="taco_csr", dim=48):
-    return kernel_job("spmv", scheme, suite_source(key, dim), SIM)
+    return kernel_job("spmv", scheme, Workload.suite(key, dim), SIM)
 
 
 def _sweep_spec(dim=48):
@@ -274,6 +275,17 @@ class TestSessionLifecycle:
         session.close()
         with pytest.raises(RuntimeError, match="closed Session"):
             session.submit(next(iter(_sweep_spec())))
+
+    def test_sweep_and_run_after_close_raise_and_start_no_pool(self):
+        before = set(multiprocessing.active_children())
+        session = Session(runtime=RuntimeConfig(processes=2, cache_dir=None))
+        session.close()
+        spec = _sweep_spec()
+        with pytest.raises(RuntimeError, match="closed Session"):
+            session.sweep(spec)
+        with pytest.raises(RuntimeError, match="closed Session"):
+            session.run(next(iter(spec)))
+        assert set(multiprocessing.active_children()) <= before
 
     def test_as_completed_yields_every_future(self, tmp_path):
         spec = _sweep_spec()

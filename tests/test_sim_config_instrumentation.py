@@ -1,9 +1,8 @@
-"""Tests for the simulator configuration, instrumentation and CPU model."""
+"""Tests for the simulator configuration and instrumentation."""
 
 import pytest
 
 from repro.sim.config import CPUConfig, InstructionCosts, RealSystemConfig, SimConfig
-from repro.sim.cpu import CPUModel
 from repro.sim.instrumentation import (
     CostReport,
     InstructionClass,
@@ -135,30 +134,3 @@ class TestInstrumentation:
         with pytest.raises(ValueError):
             merge_reports("k", "s", [])
 
-
-class TestCPUModel:
-    def _report(self):
-        instr = KernelInstrumentation("k", "s")
-        instr.count(InstructionClass.COMPUTE, 400)
-        return instr.report()
-
-    def test_seconds_at_frequency(self):
-        report = self._report()
-        model = CPUModel(SimConfig.default())
-        assert model.seconds(report) == pytest.approx(report.cycles / 3.6e9)
-
-    def test_ipc(self):
-        report = self._report()
-        model = CPUModel()
-        assert model.ipc(report) == pytest.approx(report.total_instructions / report.cycles)
-
-    def test_summarize(self):
-        summary = CPUModel().summarize(self._report())
-        assert summary.instructions == 400
-        assert summary.cycles > 0
-        assert 0.0 <= summary.memory_stall_fraction <= 1.0
-
-    def test_speedup(self):
-        model = CPUModel()
-        a, b = self._report(), self._report()
-        assert model.speedup(a, b) == pytest.approx(1.0)

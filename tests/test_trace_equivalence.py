@@ -661,7 +661,7 @@ class TestSpMVSmashEdgeCases:
 
 
 class TestBatchApiEquivalence:
-    """The batch instrumentation APIs must equal their per-element loops."""
+    """The batched trace API must equal its per-element loop."""
 
     def _fresh(self):
         instr = __import__("repro.sim.instrumentation", fromlist=["KernelInstrumentation"])
@@ -669,24 +669,6 @@ class TestBatchApiEquivalence:
         k.register_array("a", 4096)
         k.register_array("b", 4096)
         return k
-
-    def test_load_batch_matches_loop(self):
-        offsets = np.arange(0, 4096, 8, dtype=np.int64)
-        one = self._fresh()
-        one.load_batch("a", offsets, dependent=False)
-        two = self._fresh()
-        for off in offsets:
-            two.load("a", int(off), dependent=False)
-        assert_reports_identical(one.report(), two.report(), "load_batch")
-
-    def test_store_batch_matches_loop(self):
-        offsets = np.arange(0, 2048, 8, dtype=np.int64)
-        one = self._fresh()
-        one.store_batch("b", offsets)
-        two = self._fresh()
-        for off in offsets:
-            two.store("b", int(off))
-        assert_reports_identical(one.report(), two.report(), "store_batch")
 
     def test_interleaved_trace_matches_loop(self):
         rng = np.random.default_rng(0)

@@ -26,8 +26,8 @@ import pytest
 
 from repro.api.config import RuntimeConfig
 from repro.api.session import Session
-from repro.api.specs import SweepSpec
-from repro.eval.runner import ReportCache, SweepRunner, job_key, kernel_job, suite_source
+from repro.api.specs import SweepSpec, Workload
+from repro.eval.runner import ReportCache, SweepRunner, job_key, kernel_job
 from repro.sim.config import SimConfig
 from repro.store import Query, ResultStore, attach_indexer
 
@@ -35,7 +35,7 @@ SIM = SimConfig.scaled(16)
 
 #: 12 distinct SpMV jobs: 3 matrices x 4 schemes, each source's schemes together.
 JOBS = [
-    kernel_job("spmv", scheme, suite_source(key, 48), SIM)
+    kernel_job("spmv", scheme, Workload.suite(key, 48), SIM)
     for key, scheme in itertools.product(
         ("M2", "M8", "M13"), ("taco_csr", "smash_hw", "mkl_csr", "smash_sw")
     )
