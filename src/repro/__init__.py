@@ -55,7 +55,7 @@ from repro.formats import CSRMatrix, CSCMatrix, COOMatrix, BCSRMatrix
 from repro.hardware import BitmapManagementUnit, SMASHISA
 from repro.sim import SimConfig
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 #: Facade classes loaded lazily (they pull in the evaluation stack).
 _LAZY = {

@@ -2,10 +2,9 @@
 
 Every runtime knob — the worker-process count (``SMASH_REPRO_PROCESSES``),
 the trace chunk budget (``SMASH_REPRO_TRACE_CHUNK``), the report-cache
-location/enablement (``SMASH_REPRO_CACHE_DIR`` / ``SMASH_REPRO_CACHE``), the
+location/enablement (``SMASH_REPRO_CACHE_DIR`` / ``SMASH_REPRO_CACHE``) and the
 sweep-service bind address (``SMASH_REPRO_SERVICE_HOST`` /
-``SMASH_REPRO_SERVICE_PORT``) and the result-store index location
-(``SMASH_REPRO_STORE_INDEX``) — is a field of the frozen
+``SMASH_REPRO_SERVICE_PORT``) — is a field of the frozen
 :class:`RuntimeConfig`. This module is the only code in the library that
 reads ``os.environ``: :meth:`RuntimeConfig.from_env` resolves every
 knob for the front doors (the :class:`~repro.api.session.Session`, the
@@ -15,9 +14,9 @@ trace engine) receives an explicit, validated value.
 
 None of these knobs can change a result: processes and cache only affect
 where/whether a job executes, the chunk budget only bounds peak replay
-memory (DESIGN.md section 10), and the service and store knobs only say
-where results are served and indexed. That is why none of them participate
-in the report-cache job key.
+memory (DESIGN.md section 10), and the service knobs only say where
+results are served. That is why none of them participate in the
+report-cache job key.
 """
 
 from __future__ import annotations
@@ -50,10 +49,6 @@ SERVICE_HOST_ENV_VAR = "SMASH_REPRO_SERVICE_HOST"
 
 #: Environment variable setting the sweep-service port (0 = ephemeral).
 SERVICE_PORT_ENV_VAR = "SMASH_REPRO_SERVICE_PORT"
-
-#: Environment variable relocating the result-store index file (default:
-#: ``index.sqlite`` directly under the report-cache root).
-STORE_INDEX_ENV_VAR = "SMASH_REPRO_STORE_INDEX"
 
 #: Default bind address of ``smash-repro serve`` (loopback only; fronting
 #: a daemon to other hosts is an explicit opt-in via --host/env).
@@ -109,12 +104,9 @@ class RuntimeConfig:
     trace replay; ``None`` (or 0, normalized to ``None``) restores the
     monolithic build-then-replay path. ``service_host``/``service_port``
     are where the ``repro.service`` daemon binds (``smash-repro serve``;
-    port 0 asks the OS for an ephemeral port). ``store_index`` relocates
-    the sqlite file of the result-store index (``repro.store``) that every
-    cached Session keeps current (``None`` = ``index.sqlite`` under the
-    cache root). Like every other knob here they say *how* work is
-    executed, stored and served, never what it computes — which is why
-    none participate in the report-cache job key.
+    port 0 asks the OS for an ephemeral port). Like every other knob here
+    they say *how* work is executed, stored and served, never what it
+    computes — which is why none participate in the report-cache job key.
     """
 
     processes: int = 1
@@ -122,7 +114,6 @@ class RuntimeConfig:
     trace_chunk: Optional[int] = DEFAULT_CHUNK_ACCESSES
     service_host: str = DEFAULT_SERVICE_HOST
     service_port: int = DEFAULT_SERVICE_PORT
-    store_index: Optional[Union[str, pathlib.Path]] = None
 
     def __post_init__(self) -> None:
         if isinstance(self.processes, bool) or not isinstance(self.processes, int):
@@ -147,12 +138,6 @@ class RuntimeConfig:
                 f"service port must be in [0, 65535] (0 = ephemeral), "
                 f"got {self.service_port}"
             )
-        if self.store_index is not None and not isinstance(
-            self.store_index, (str, pathlib.Path)
-        ):
-            raise ValueError(
-                f"store index path must be a string or Path, got {self.store_index!r}"
-            )
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -165,7 +150,6 @@ class RuntimeConfig:
         trace_chunk: object = _UNSET,
         service_host: Optional[str] = None,
         service_port: Optional[int] = None,
-        store_index: object = _UNSET,
     ) -> "RuntimeConfig":
         """Build a config from the environment, explicit arguments winning.
 
@@ -193,8 +177,6 @@ class RuntimeConfig:
             service_port = (
                 _parse_int(raw, SERVICE_PORT_ENV_VAR) if raw else DEFAULT_SERVICE_PORT
             )
-        if store_index is _UNSET:
-            store_index = os.environ.get(STORE_INDEX_ENV_VAR, "").strip() or None
         # The _UNSET sentinels force ``object``-typed parameters; by here
         # both have been resolved to real field values.
         return cls(
@@ -203,7 +185,6 @@ class RuntimeConfig:
             trace_chunk=cast(Optional[int], trace_chunk),
             service_host=service_host,
             service_port=service_port,
-            store_index=cast(Optional[Union[str, pathlib.Path]], store_index),
         )
 
     # ------------------------------------------------------------------ #
@@ -222,7 +203,4 @@ class RuntimeConfig:
         """One-line human-readable summary."""
         cache = str(self.cache_dir) if self.cache_enabled else "disabled"
         chunk = self.trace_chunk if self.trace_chunk is not None else "monolithic"
-        summary = f"processes={self.processes}, cache={cache}, trace_chunk={chunk}"
-        if self.store_index is not None:
-            summary += f", store_index={self.store_index}"
-        return summary
+        return f"processes={self.processes}, cache={cache}, trace_chunk={chunk}"

@@ -50,7 +50,6 @@ from repro.eval.runner import SweepRunner, SweepStats
 from repro.sim import trace as _trace
 from repro.sim.config import SimConfig
 from repro.sim.instrumentation import CostReport
-from repro.store import attach_indexer
 
 
 class Session:
@@ -82,12 +81,6 @@ class Session:
             cache_dir=self.runtime.cache_dir,
             trace_chunk=self.runtime.trace_chunk,
         )
-        # Keep the result-store index warm: every report the cache persists
-        # is ingested into the sqlite index as it lands (repro.store;
-        # DESIGN.md section 16). Derived data only — queries and the
-        # service's GET /query read it, results never do.
-        if self._runner.cache is not None:
-            attach_indexer(self._runner.cache, index_path=self.runtime.store_index)
 
     @property
     def cache(self):

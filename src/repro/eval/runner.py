@@ -6,7 +6,7 @@ scheme S on a deterministically generated workload W with configurations
 a pure, picklable :class:`Job`, executes batches of jobs through
 :class:`SweepRunner` — serially or on a ``ProcessPoolExecutor`` — and
 memoizes every resulting :class:`~repro.sim.instrumentation.CostReport` in a
-content-keyed on-disk cache, so re-running an experiment (or a different
+content-keyed sqlite cache, so re-running an experiment (or a different
 experiment sharing jobs, e.g. the ``taco_csr`` baselines) re-executes
 nothing.
 
@@ -32,9 +32,8 @@ Design invariants (see DESIGN.md sections 9 and 15):
   guarantees that concurrent submissions of the same job share one future
   (the job executes once), and all scheduler state — statistics, the
   in-flight table, cache loads and stores — is guarded by one lock. Each
-  resolved batch (a pool chunk, or a serial batch of misses) is handed to
-  the cache's indexer in one call, outside that lock, before its futures
-  complete.
+  resolved batch (a pool chunk, or a serial batch of misses) is stored in
+  one transaction before its futures complete.
 """
 
 from __future__ import annotations
@@ -42,10 +41,10 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
-import itertools
 import json
 import os
 import pathlib
+import sqlite3
 import threading
 import warnings
 import weakref
@@ -61,7 +60,7 @@ from repro.sim.config import SimConfig
 from repro.sim.instrumentation import CostReport
 # ``execute_job`` calls this module-global binding, so a tracer can wrap
 # ``repro.eval.runner.materialize_source`` (perfbench's span does).
-from repro.workloads.sources import materialize_source
+from repro.workloads.sources import materialize_source, source_fields
 
 #: Bumped whenever the job payload or report layout changes incompatibly;
 #: entries written under another schema are treated as cache misses.
@@ -157,8 +156,7 @@ def _freeze_params(params: Dict) -> Tuple[Tuple[str, Union[int, float, str]], ..
 
 def job_key(job: Job) -> str:
     """Stable content hash of a job (SHA-256 of its canonical JSON)."""
-    blob = json.dumps(job.payload(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(job.payload()).encode("utf-8")).hexdigest()
 
 
 def execute_job(job: Job) -> CostReport:
@@ -218,93 +216,181 @@ def _execute_payloads(jobs: Sequence[Job]) -> List[Dict]:
 # --------------------------------------------------------------------------- #
 # Persistent report cache
 # --------------------------------------------------------------------------- #
-#: Per-process atomic counter distinguishing temporary cache files written
-#: by different threads of one process (the pid alone is not enough once
-#: Session.submit allows concurrent in-process writers of the same key).
-_TMP_COUNTER = itertools.count()
+#: The report database's file name, directly under the cache root.
+REPORTS_FILENAME = "reports.sqlite"
+
+#: Bumped whenever the ``reports`` table changes incompatibly (kept in the
+#: database's ``PRAGMA user_version``); a database written under another
+#: version is neither read nor written.
+STORE_SCHEMA_VERSION = 1
+
+#: The queryable columns of the ``reports`` table, in declaration order.
+#: Every value derives from the job payload and its report alone;
+#: ``report`` is the canonical JSON of the report payload.
+REPORT_COLUMNS: Tuple[Tuple[str, str], ...] = (
+    ("key", "TEXT PRIMARY KEY"),
+    ("cache_schema", "INTEGER NOT NULL"),
+    ("kind", "TEXT NOT NULL"),
+    ("scheme", "TEXT NOT NULL"),
+    ("workload_kind", "TEXT NOT NULL"),
+    ("workload_key", "TEXT"),
+    ("dim", "INTEGER"),
+    ("workload", "TEXT NOT NULL"),
+    ("params", "TEXT NOT NULL"),
+    ("instructions", "INTEGER NOT NULL"),
+    ("issue_cycles", "REAL NOT NULL"),
+    ("memory_stall_cycles", "REAL NOT NULL"),
+    ("cycles", "REAL NOT NULL"),
+    ("dram_accesses", "INTEGER NOT NULL"),
+    ("l1_miss_rate", "REAL NOT NULL"),
+    ("l2_miss_rate", "REAL NOT NULL"),
+    ("l3_miss_rate", "REAL NOT NULL"),
+    ("report", "TEXT NOT NULL"),
+)
+
+#: Column names, for validation of sort/group arguments.
+COLUMN_NAMES: Tuple[str, ...] = tuple(name for name, _ in REPORT_COLUMNS)
+
+#: Columns only the cache reads: the canonical job payload (the staleness
+#: guard of :meth:`ReportCache.load`) and the write instant in seconds
+#: since the epoch, filled by sqlite's clock (the gc age predicate).
+_CACHE_COLUMNS: Tuple[Tuple[str, str], ...] = (
+    ("job", "TEXT NOT NULL"),
+    ("stored_at", "REAL NOT NULL DEFAULT ((julianday('now') - 2440587.5) * 86400.0)"),
+)
+
+_CREATE_SQL = "CREATE TABLE IF NOT EXISTS reports ({})".format(
+    ", ".join(f"{name} {sqltype}" for name, sqltype in REPORT_COLUMNS + _CACHE_COLUMNS)
+)
+_UPSERT_SQL = "INSERT OR REPLACE INTO reports ({}, job) VALUES ({}, ?)".format(
+    ", ".join(COLUMN_NAMES), ", ".join("?" for _ in COLUMN_NAMES)
+)
+
+
+def canonical_json(value: object) -> str:
+    """The canonical JSON encoding of job keys and serialized columns."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def report_row(key: str, job_payload: Dict, report: Dict) -> Tuple:
+    """The ``reports`` row of one job: :data:`COLUMN_NAMES`, then ``job``."""
+    source = job_payload["source"]
+    workload_kind, workload_key, dim = source_fields(source)
+    issue_cycles = float(report["issue_cycles"])
+    stall_cycles = float(report["memory_stall_cycles"])
+    return (
+        key,
+        job_payload["schema"],
+        job_payload["kind"],
+        job_payload["scheme"],
+        workload_kind,
+        workload_key,
+        int(dim) if dim is not None else None,
+        canonical_json(source),
+        canonical_json(job_payload["params"]),
+        sum(int(v) for v in report["instructions"].values()),
+        issue_cycles,
+        stall_cycles,
+        issue_cycles + stall_cycles,
+        int(report["dram_accesses"]),
+        float(report["l1_miss_rate"]),
+        float(report["l2_miss_rate"]),
+        float(report["l3_miss_rate"]),
+        canonical_json(report),
+        canonical_json(job_payload),
+    )
 
 
 class ReportCache:
-    """Content-keyed on-disk cache of serialized cost reports.
+    """Content-keyed cache of serialized cost reports in one sqlite file.
 
-    Layout: ``<root>/<key[:2]>/<key>.json``, one JSON document per job
-    holding the canonical job payload (for hash-collision and staleness
-    guards, and debuggability) plus the serialized report. Writes go
-    through a per-process, per-write temporary file and ``os.replace`` so
-    concurrent writers — several pool workers, several threads of one
-    process, or several CLI invocations — can never leave a torn entry
-    behind.
+    ``<root>/reports.sqlite`` holds one ``reports`` row per job: the
+    query columns of :data:`REPORT_COLUMNS`, the canonical job payload
+    (hash-collision and staleness guard) and the write instant. The cache
+    keeps one lazily opened connection in WAL mode with a busy timeout,
+    guarded by its own lock, so concurrent writers — threads of one
+    process, several CLI invocations, the service daemon — coordinate
+    through sqlite's file locking, and each :meth:`store` batch lands in
+    one transaction (all of it or none). A process that inherits the cache
+    across a fork opens its own connection.
     """
 
     def __init__(self, root: Union[str, pathlib.Path] = DEFAULT_CACHE_DIR) -> None:
         self.root = pathlib.Path(root)
-        #: Optional index hook ``(batch) -> None`` used by :mod:`repro.store`
-        #: to keep its sqlite index warm incrementally. ``SweepRunner`` calls
-        #: it once per resolved batch with that batch's ``(key, document)``
-        #: pairs, as :meth:`store` returned them. Kept as a plain callback so
-        #: this layer never imports the store (RL006: ``repro.store`` sits
-        #: strictly above ``repro.eval.runner``).
-        self.indexer: Optional[Callable[[Sequence[Tuple[str, Dict]]], None]] = None
+        self.path = self.root / REPORTS_FILENAME
+        self._lock = threading.Lock()
+        self._conn: Optional[sqlite3.Connection] = None
+        self._pid = 0
 
-    def path_for(self, key: str) -> pathlib.Path:
-        """Where the entry for ``key`` lives on disk."""
-        return self.root / key[:2] / f"{key}.json"
+    def _open(self) -> sqlite3.Connection:
+        self.root.mkdir(parents=True, exist_ok=True)
+        conn = sqlite3.connect(str(self.path), timeout=30.0, check_same_thread=False)
+        try:
+            # Check the version first: a foreign database is left untouched.
+            version = conn.execute("PRAGMA user_version").fetchone()[0]
+            if version not in (0, STORE_SCHEMA_VERSION):
+                raise sqlite3.DatabaseError(
+                    f"report store schema {version} != supported {STORE_SCHEMA_VERSION}"
+                )
+            conn.execute("PRAGMA journal_mode=WAL")
+            if version == 0:
+                conn.execute(_CREATE_SQL)
+                conn.execute(f"PRAGMA user_version = {STORE_SCHEMA_VERSION}")
+        except BaseException:
+            conn.close()
+            raise
+        return conn
 
-    def iter_entries(self) -> Iterator[Tuple[str, pathlib.Path]]:
-        """Every ``(key, path)`` in the cache tree, in sorted key order.
+    @contextlib.contextmanager
+    def connection(self) -> Iterator[sqlite3.Connection]:
+        """The cache's connection, held under its lock for the block."""
+        with self._lock:
+            if self._conn is None or self._pid != os.getpid():
+                self._conn = self._open()
+                self._pid = os.getpid()
+            yield self._conn
 
-        Only the documented ``<xx>/<key>.json`` shard layout is visited, so
-        foreign files at the root (the sqlite index, editor droppings) are
-        never mistaken for entries.
-        """
-        if not self.root.is_dir():
-            return
-        for shard in sorted(self.root.iterdir()):
-            if not (shard.is_dir() and len(shard.name) == 2):
-                continue
-            for path in sorted(shard.glob("*.json")):
-                yield path.stem, path
+    def close(self) -> None:
+        """Close the connection; the next use reopens it."""
+        with self._lock:
+            conn, self._conn = self._conn, None
+            if conn is not None and self._pid == os.getpid():
+                conn.close()
+
+    def count(self) -> int:
+        """Rows in the database (0 before the first store)."""
+        if not self.path.exists():
+            return 0
+        with self.connection() as conn:
+            return int(conn.execute("SELECT COUNT(*) FROM reports").fetchone()[0])
 
     def stats(self) -> Dict[str, object]:
         """The cache's identity card: root, writing schema, report count."""
-        return {
-            "root": str(self.root),
-            "schema": CACHE_SCHEMA_VERSION,
-            "reports": sum(1 for _ in self.iter_entries()),
-        }
+        return {"root": str(self.root), "schema": CACHE_SCHEMA_VERSION, "reports": self.count()}
 
     def load(self, key: str, job: Job) -> Optional[Dict]:
-        """The cached report payload for ``job``, or None on miss."""
+        """The cached report payload for ``job``, or None on miss.
+
+        An unreadable database (garbage bytes, a foreign schema, a torn
+        row) is a miss, never an error.
+        """
         try:
-            document = json.loads(self.path_for(key).read_text(encoding="utf-8"))
-        except (OSError, ValueError):
+            with self.connection() as conn:
+                row = conn.execute(
+                    "SELECT job, report FROM reports WHERE key = ?", (key,)
+                ).fetchone()
+            if row is None or row[0] != canonical_json(job.payload()):
+                return None
+            report = json.loads(row[1])
+        except (OSError, sqlite3.Error, ValueError):
             return None
-        if not isinstance(document, dict):
-            return None
-        if document.get("schema") != CACHE_SCHEMA_VERSION:
-            return None
-        if document.get("job") != job.payload():
-            return None
-        report = document.get("report")
         return report if isinstance(report, dict) else None
 
-    def store(self, key: str, job: Job, report_payload: Dict) -> Dict:
-        """Persist the report payload for ``job`` (atomic replace).
-
-        Returns the document written, for the caller to index.
-        """
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        document = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "key": key,
-            "job": job.payload(),
-            "report": report_payload,
-        }
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.{next(_TMP_COUNTER)}.tmp")
-        tmp.write_text(json.dumps(document, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-        os.replace(tmp, path)
-        return document
+    def store(self, entries: Sequence[Tuple[str, Job, Dict]]) -> None:
+        """Persist ``(key, job, report payload)`` entries in one transaction."""
+        rows = [report_row(key, job.payload(), payload) for key, job, payload in entries]
+        with self.connection() as conn, conn:
+            conn.executemany(_UPSERT_SQL, rows)
 
 
 # --------------------------------------------------------------------------- #
@@ -450,7 +536,7 @@ class SweepRunner:
         _futures_wait(pending)
 
     def close(self) -> None:
-        """Drain in-flight jobs and shut down the worker pool (idempotent)."""
+        """Drain in-flight jobs, shut down the worker pool, close the cache (idempotent)."""
         self.drain()
         with self._lock:
             pool, self._pool = self._pool, None
@@ -459,6 +545,8 @@ class SweepRunner:
             if finalizer is not None:
                 finalizer.detach()
             pool.shutdown(wait=True)
+        if self.cache is not None:
+            self.cache.close()
 
     def __enter__(self) -> "SweepRunner":
         return self
@@ -501,31 +589,30 @@ class SweepRunner:
             return future, True
 
     def _resolve(self, resolved: Sequence[Tuple[str, Job, "Future[Dict]", Dict]]) -> None:
-        """Store a batch of payloads, retire them, index them, wake the waiters.
+        """Store a batch of payloads, retire them, wake the waiters.
 
         ``resolved`` holds ``(key, job, future, payload)`` for every job of
         one resolution: one pool chunk, or one serial batch of misses. The
-        cache stores and the table removals happen under one lock
-        acquisition, so a concurrent :meth:`_lookup_or_create` observes each
-        job either still in flight or already on disk — never neither —
-        which is what makes ``executed`` exactly the number of distinct
-        jobs when a cache is configured. The stored documents then go to the
-        cache's indexer in one call, outside the lock, and only then do the
-        futures complete, so the index holds the rows when a sweep returns.
+        batch is stored in one transaction and the table removals happen
+        under the same lock acquisition, so a concurrent
+        :meth:`_lookup_or_create` observes each job either still in flight
+        or already on disk — never neither — which is what makes
+        ``executed`` exactly the number of distinct jobs when a cache is
+        configured. Only then do the futures complete.
 
-        A store that raises ``OSError`` (disk full, read-only cache) degrades
-        to an uncached success: the job still gets its payload, nothing is
-        cached or indexed for it, and the runner warns once.
+        A store that fails (disk full, read-only cache, an unreadable or
+        foreign database) degrades to an uncached success: the jobs still
+        get their payloads, nothing of the batch is cached, and the runner
+        warns once.
         """
-        documents: List[Tuple[str, Dict]] = []
-        store_error: Optional[OSError] = None
+        store_error: Optional[Exception] = None
         with self._lock:
-            for key, job, _, payload in resolved:
-                if self.cache is not None:
-                    try:
-                        documents.append((key, self.cache.store(key, job, payload)))
-                    except OSError as error:
-                        store_error = error
+            if self.cache is not None:
+                try:
+                    self.cache.store([(key, job, payload) for key, job, _, payload in resolved])
+                except (OSError, sqlite3.Error) as error:
+                    store_error = error
+            for key, _, _, _ in resolved:
                 self._inflight.pop(key, None)
             warn = store_error is not None and not self._store_warned
             self._store_warned |= warn
@@ -536,12 +623,8 @@ class SweepRunner:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        try:
-            if documents and self.cache.indexer is not None:
-                self.cache.indexer(documents)
-        finally:
-            for _, _, future, payload in resolved:
-                future.set_result(payload)
+        for _, _, future, payload in resolved:
+            future.set_result(payload)
 
     def _resolve_error(self, key: str, future: "Future[Dict]", error: BaseException) -> None:
         """Fail ``future`` and retire its in-flight entry (no-op once done).

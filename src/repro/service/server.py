@@ -193,20 +193,18 @@ class ServiceState:
         }
 
     def query(self, params: Mapping[str, str]) -> List[Dict[str, object]]:
-        """Run one read-only store query against the shared cache's index.
+        """Run one read-only store query against the shared cache.
 
         Raises :class:`~repro.store.StoreError` on bad parameters (the
-        handler's 400) or when the daemon runs without a cache. The index
-        is built on first use and kept warm by the Session's ingest hook,
-        so queries see every report the daemon has stored.
+        handler's 400) or when the daemon runs without a cache. The query
+        reads the Session's own cache database, so it sees every report
+        the daemon has stored.
         """
         cache = self.session.cache
         if cache is None:
             raise StoreError("the daemon runs without a report cache; nothing to query")
         query = query_from_mapping(dict(params))
-        store = ResultStore(cache.root, self.session.runtime.store_index)
-        store.ensure()
-        return store.query(query)
+        return ResultStore(cache).query(query)
 
 
 class SweepHTTPServer(ThreadingHTTPServer):

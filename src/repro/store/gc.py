@@ -1,31 +1,28 @@
-"""Cache garbage collection: prune stale or foreign report documents.
+"""Cache garbage collection: prune stale or foreign report rows.
 
 The content-keyed cache grows unboundedly by design (every distinct job
-payload gets a file, and nothing ever deletes one). ``smash-repro cache
+payload gets a row, and nothing ever deletes one). ``smash-repro cache
 gc`` bounds it after the fact with two independent predicates:
 
-* ``max_age_days`` — prune entries whose file mtime is older than N days.
-  The cutoff instant is supplied by the *caller* (the CLI reads the clock
+* ``max_age_days`` — prune rows whose ``stored_at`` instant (filled by
+  sqlite's clock when the row was written) is older than N days. The
+  cutoff instant is supplied by the *caller* (the CLI reads the clock
   once, under a justified RL002 suppression) so this module stays
   deterministic and testable with synthetic clocks.
-* ``orphaned`` — prune documents written under a foreign cache schema
-  version, plus unparseable ones. These are permanent cache misses: the
-  runner will never load them again.
+* ``orphaned`` — prune rows written under a foreign cache schema
+  version. These are permanent cache misses: the runner will never load
+  them again.
 
-Pruned keys are also dropped from the sqlite index when one exists, so gc
-never leaves dangling index rows. ``dry_run`` reports without deleting.
+``dry_run`` reports without deleting.
 """
 
 from __future__ import annotations
 
-import contextlib
-import json
 import pathlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 from repro.eval.runner import CACHE_SCHEMA_VERSION, ReportCache
-from repro.store.index import ResultStore
 
 
 @dataclass
@@ -36,7 +33,6 @@ class GcStats:
     pruned_old: int = 0
     pruned_foreign: int = 0
     kept: int = 0
-    index_rows_removed: int = 0
     dry_run: bool = False
     pruned_keys: List[str] = field(default_factory=list)
 
@@ -48,34 +44,22 @@ class GcStats:
         action = "would prune" if self.dry_run else "pruned"
         return (
             f"{self.scanned} scanned, {action} {self.pruned} "
-            f"({self.pruned_old} stale, {self.pruned_foreign} foreign/broken), "
-            f"{self.kept} kept, {self.index_rows_removed} index rows removed"
+            f"({self.pruned_old} stale, {self.pruned_foreign} foreign), "
+            f"{self.kept} kept"
         )
-
-
-def _is_foreign(path: pathlib.Path) -> bool:
-    """Whether the document can never be loaded by this cache schema."""
-    try:
-        document = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return True
-    return not (
-        isinstance(document, dict) and document.get("schema") == CACHE_SCHEMA_VERSION
-    )
 
 
 def gc_cache(
     cache_root: Union[str, pathlib.Path],
-    index_path: Optional[Union[str, pathlib.Path]] = None,
     max_age_days: Optional[float] = None,
     now: Optional[float] = None,
     orphaned: bool = False,
     dry_run: bool = False,
 ) -> GcStats:
-    """One gc pass over ``cache_root``; see the module docstring.
+    """One gc pass over the cache at ``cache_root``; see the module docstring.
 
     ``now`` (seconds since the epoch) is required when ``max_age_days`` is
-    given — age is ``now - mtime``.
+    given — age is ``now - stored_at``.
     """
     if max_age_days is not None:
         if now is None:
@@ -84,35 +68,28 @@ def gc_cache(
             raise ValueError(f"max_age_days must be non-negative, got {max_age_days}")
     cache = ReportCache(cache_root)
     stats = GcStats(dry_run=dry_run)
-    cutoff = (now - max_age_days * 86400.0) if max_age_days is not None and now else None
-    doomed: List[Tuple[str, pathlib.Path]] = []
-    for key, path in cache.iter_entries():
-        stats.scanned += 1
-        if orphaned and _is_foreign(path):
-            stats.pruned_foreign += 1
-            doomed.append((key, path))
-            continue
-        if cutoff is not None:
-            try:
-                mtime = path.stat().st_mtime
-            except OSError:
-                stats.kept += 1
-                continue
-            if mtime < cutoff:
-                stats.pruned_old += 1
-                doomed.append((key, path))
-                continue
-        stats.kept += 1
-    stats.pruned_keys = [key for key, _ in doomed]
-    if dry_run:
-        return stats
-    for _, path in doomed:
-        with contextlib.suppress(OSError):
-            path.unlink()
-        with contextlib.suppress(OSError):
-            path.parent.rmdir()  # only succeeds once the shard is empty
-    if doomed:
-        store = ResultStore(cache_root, index_path)
-        if store.exists():
-            stats.index_rows_removed = store.delete(stats.pruned_keys)
+    cutoff = now - max_age_days * 86400.0 if max_age_days is not None else None
+    try:
+        with cache.connection() as conn:
+            rows = conn.execute(
+                "SELECT key, cache_schema, stored_at FROM reports ORDER BY key"
+            ).fetchall()
+            for key, schema, stored_at in rows:
+                stats.scanned += 1
+                if orphaned and schema != CACHE_SCHEMA_VERSION:
+                    stats.pruned_foreign += 1
+                elif cutoff is not None and stored_at < cutoff:
+                    stats.pruned_old += 1
+                else:
+                    stats.kept += 1
+                    continue
+                stats.pruned_keys.append(key)
+            if not dry_run:
+                with conn:
+                    conn.executemany(
+                        "DELETE FROM reports WHERE key = ?",
+                        [(key,) for key in stats.pruned_keys],
+                    )
+    finally:
+        cache.close()
     return stats

@@ -3,7 +3,7 @@
 ``smash-repro tables`` turns stored reports into the per-figure summary
 tables of the paper: speedup over the TACO-CSR baseline for SpMV
 (figure 10), SpMM (figure 12) and SpAdd (figure 14), plus the SpMV DRAM
-traffic reduction behind figure 11. The emitters read only the index —
+traffic reduction behind figure 11. The emitters read only stored rows —
 never re-execute jobs — and their output is byte-deterministic for a
 given cache (CI diffs two consecutive emissions), which follows from the
 store's deterministic query ordering and the fixed float formatting here.
@@ -111,7 +111,7 @@ def build_table(
     rows = store.query(Query(kernel=spec.kernel, dim=dim))
     if not rows:
         raise StoreError(
-            f"no {spec.kernel} reports in the index at {store.path}; "
+            f"no {spec.kernel} reports in the cache at {store.path}; "
             "run a sweep first (e.g. `smash-repro run figure10 --quick`)"
         )
     by_workload: Dict[Tuple[object, object], Dict[str, float]] = {}

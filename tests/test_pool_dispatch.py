@@ -308,7 +308,6 @@ class TestKnobSurface:
             "trace_chunk",
             "service_host",
             "service_port",
-            "store_index",
         )
 
     @pytest.mark.parametrize(
@@ -319,13 +318,23 @@ class TestKnobSurface:
             ["--replay-batch", "4"],
             ["--pool-chunk", "1"],
             ["--replay-profile"],
+            ["--index", "index.sqlite"],
+            ["--reindex"],
         ],
     )
     def test_removed_cli_flags_are_argparse_errors(self, flag, capsys):
+        """Every subcommand that once carried a removed flag rejects it."""
+        for command in (["run", "figure10"], ["query"], ["tables"], ["cache", "stats"]):
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args([*command, *flag])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_removed_cache_reindex_subcommand_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            build_parser().parse_args(["run", "figure10", *flag])
+            build_parser().parse_args(["cache", "reindex"])
         assert exit_info.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert "invalid choice: 'reindex'" in capsys.readouterr().err
 
     def test_removed_bench_subcommand_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -321,16 +321,21 @@ class TestSweepRunner:
         cache = ReportCache(tmp_path)
         runner = SweepRunner(cache_dir=tmp_path)
         report = runner.run([job])[0]
+
+        def corrupt(column, value):
+            with cache.connection() as conn, conn:
+                conn.execute(f"UPDATE reports SET {column} = ? WHERE key = ?", (value, key))
+
         # Corrupt entry -> miss, then re-executed and repaired.
-        cache.path_for(key).write_text("{ not json")
+        corrupt("report", "{ not json")
         rerun = SweepRunner(cache_dir=tmp_path)
         assert rerun.run([job])[0] == report and rerun.stats.executed == 1
-        # Wrong schema version -> miss.
-        document = json.loads(cache.path_for(key).read_text())
-        document["schema"] = CACHE_SCHEMA_VERSION + 1
-        cache.path_for(key).write_text(json.dumps(document))
+        # Wrong schema version in the stored job payload -> miss.
+        payload = dict(job.payload(), schema=CACHE_SCHEMA_VERSION + 1)
+        corrupt("job", json.dumps(payload, sort_keys=True, separators=(",", ":")))
         stale = SweepRunner(cache_dir=tmp_path)
         assert stale.run([job])[0] == report and stale.stats.executed == 1
+        assert SweepRunner(cache_dir=tmp_path).run([job])[0] == report
 
     def test_cached_report_round_trips_exactly(self, tmp_path):
         job = _quick_jobs()[0]

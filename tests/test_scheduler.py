@@ -15,7 +15,6 @@ from several threads and checks the counters afterwards.
 
 import json
 import multiprocessing
-import os
 import threading
 
 import pytest
@@ -203,17 +202,11 @@ class TestConcurrentSessions:
             assert keys == expected, f"{name} diverged from the serial baseline"
         session.close()
 
-        # The result-store index survived the concurrent store() traffic:
-        # one row per unique job, and the incrementally built index is
-        # exactly what a cold rebuild of the same cache tree produces.
+        # The report database survived the concurrent store() traffic: one
+        # row per unique job.
         from repro.store import ResultStore
 
-        store = ResultStore(tmp_path)
-        assert store.exists()
-        assert store.report_count() == unique_jobs
-        incremental = store.canonical_dump()
-        store.reindex()
-        assert store.canonical_dump() == incremental
+        assert ResultStore(tmp_path).report_count() == unique_jobs
 
     def test_mixed_sweep_and_submit_share_cache(self, tmp_path):
         spec = _sweep_spec()
@@ -243,30 +236,6 @@ class TestPoolSubmit:
             assert future.done()  # cache hit: resolved without the pool
             assert _report_keys([future.result()]) == expected[:1]
             assert warm.stats.executed == 0
-
-
-class TestCacheTmpNames:
-    def test_store_tmp_names_are_unique_per_call(self, tmp_path, monkeypatch):
-        """Two stores of one key never collide on the staging file name."""
-        sources = []
-        real_replace = os.replace
-
-        def recording_replace(src, dst, *args, **kwargs):
-            sources.append(str(src))
-            return real_replace(src, dst, *args, **kwargs)
-
-        monkeypatch.setattr(os, "replace", recording_replace)
-        with SweepRunner(processes=1, cache_dir=None) as runner:
-            payload = runner.run([_job()])[0].to_dict()
-        cache = runner_module.ReportCache(tmp_path)
-        job = _job()
-        key = job_key(job)
-        cache.store(key, job, payload)
-        cache.store(key, job, payload)
-        tmp_names = [source for source in sources if source.endswith(".tmp")]
-        assert len(tmp_names) == 2
-        assert len(set(tmp_names)) == 2
-        assert all(f".{os.getpid()}." in name for name in tmp_names)
 
 
 class TestSessionLifecycle:

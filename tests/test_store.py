@@ -1,18 +1,16 @@
-"""Tests for repro.store: index consistency, queries, tables, gc.
+"""Tests for repro.store: queries, tables and gc over the report database.
 
 The load-bearing invariants (DESIGN.md section 16):
 
 * query rows are bit-consistent with ``CostReport.to_dict()`` — the store
   serves the cached payload verbatim, never a re-derivation;
-* a full ``reindex`` of a warm cache reproduces the incrementally built
-  index exactly (canonical-dump equality);
-* an index written by an older release, with extra tables, keeps working;
+* the cache root holds one database and nothing else;
+* a database that also carries other tables keeps working;
 * every output format is byte-deterministic for a given cache.
 """
 
 import json
 import sqlite3
-import warnings
 
 import pytest
 
@@ -20,15 +18,9 @@ from repro.api.config import RuntimeConfig
 from repro.api.session import Session
 from repro.api.specs import SweepSpec
 from repro.eval.cli import main as cli_main
-from repro.eval.runner import ReportCache, job_key
+from repro.eval.runner import REPORTS_FILENAME, ReportCache, job_key
 from repro.sim.config import SimConfig
-from repro.store import (
-    Query,
-    ResultStore,
-    StoreError,
-    attach_indexer,
-    query_from_mapping,
-)
+from repro.store import Query, ResultStore, StoreError, query_from_mapping
 from repro.store.gc import gc_cache
 from repro.store.query import render_rows
 from repro.store.tables import build_table, render_tables
@@ -54,10 +46,18 @@ def warm_store(tmp_path):
     return ResultStore(tmp_path), result
 
 
+def _update_rows(cache_dir, sql, params=()):
+    """Run one write statement against the cache database from outside."""
+    conn = sqlite3.connect(str(cache_dir / REPORTS_FILENAME))
+    with conn:
+        conn.execute(sql, params)
+    conn.close()
+
+
 class TestIngestAndReindex:
     def test_session_sweep_keeps_index_warm(self, warm_store):
         store, result = warm_store
-        assert store.exists()
+        assert store.path.exists()
         assert store.report_count() == len(result.reports)
 
     def test_query_rows_bit_consistent_with_cost_report(self, warm_store):
@@ -70,13 +70,6 @@ class TestIngestAndReindex:
         for row in rows:
             payload = json.loads(row["report"])
             assert json.dumps(payload, sort_keys=True) in by_report
-
-    def test_reindex_reproduces_incremental_index_exactly(self, warm_store):
-        store, _ = warm_store
-        incremental = store.canonical_dump()
-        stats = store.reindex()
-        assert stats.indexed == store.report_count()
-        assert store.canonical_dump() == incremental
 
     # The schema of the BENCH history tables that older releases kept in
     # the index (``bench_<suffix>``), with one row each.
@@ -93,86 +86,48 @@ class TestIngestAndReindex:
         ),
     }
 
-    def test_index_with_legacy_bench_tables_keeps_working(self, warm_store):
-        """An index that still holds the retired BENCH history tables serves
-        queries unchanged, and a reindex writes a fresh file without them."""
+    def test_index_with_legacy_bench_tables_keeps_working(self, warm_store, tmp_path):
+        """A database that also holds other tables serves queries and
+        cache hits unchanged."""
         store, result = warm_store
         clean = store.canonical_dump()
-        conn = sqlite3.connect(str(store.path))
-        with conn:
-            for suffix, (columns, row) in self.LEGACY_TABLES.items():
-                conn.execute(f"CREATE TABLE bench_{suffix} ({columns})")
-                conn.execute(f"INSERT INTO bench_{suffix} VALUES {row}")
-        conn.close()
+        for suffix, (columns, row) in self.LEGACY_TABLES.items():
+            _update_rows(tmp_path, f"CREATE TABLE bench_{suffix} ({columns})")
+            _update_rows(tmp_path, f"INSERT INTO bench_{suffix} VALUES {row}")
 
         assert len(store.query(Query(kernel="spmv"))) == len(result.reports)
         assert store.canonical_dump() == clean
-        assert store.reindex().indexed == len(result.reports)
-        assert store.canonical_dump() == clean
-        conn = sqlite3.connect(str(store.path))
-        tables = {row[0] for row in conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'")}
-        conn.close()
-        assert tables == {"reports", "meta"}
+        runtime = RuntimeConfig(processes=1, cache_dir=tmp_path)
+        with Session(sim=SIM, runtime=runtime) as session:
+            assert session.sweep(_sweep_spec()).reports == result.reports
+            assert session.stats_snapshot().executed == 0
 
-    def test_reindex_skips_foreign_schema_and_malformed_documents(self, tmp_path):
-        _run_sweep(tmp_path)
-        cache = ReportCache(tmp_path)
-        foreign = dict(json.loads(cache.path_for(next(cache.iter_entries())[0]).read_text()))
-        foreign["schema"] = 999
-        (tmp_path / "ff").mkdir(exist_ok=True)
-        (tmp_path / "ff" / ("f" * 64 + ".json")).write_text(json.dumps(foreign))
-        (tmp_path / "ee").mkdir(exist_ok=True)
-        (tmp_path / "ee" / ("e" * 64 + ".json")).write_text("not json{")
-        store = ResultStore(tmp_path)
-        stats = store.reindex()
-        assert stats.indexed == 4
-        assert stats.skipped_foreign == 1
-        assert stats.skipped_malformed == 1
-        assert store.report_count() == 4
-
-    def test_incremental_ingest_of_foreign_document_is_refused(self, tmp_path):
-        store = ResultStore(tmp_path)
-        assert store.ingest([("ab" * 32, {"schema": 999})]) == 0
-        assert store.ingest([("cd" * 32, "not a document")]) == 0
-
-    def test_index_file_is_invisible_to_the_cache_tree(self, warm_store):
+    def test_foreign_schema_rows_are_invisible_to_queries(self, warm_store, tmp_path):
         store, result = warm_store
-        cache = ReportCache(store.root)
-        assert store.path.exists()
-        keys = [key for key, _ in cache.iter_entries()]
+        victim = store.query(Query(sort="key"))[0]["key"]
+        _update_rows(tmp_path, "UPDATE reports SET cache_schema = 999 WHERE key = ?", (victim,))
+        keys = {row["key"] for row in store.query(Query())}
+        assert len(keys) == len(result.reports) - 1 and victim not in keys
+        assert store.report_count() == len(result.reports)
+
+    def test_cache_root_holds_one_database(self, warm_store, tmp_path):
+        store, result = warm_store
+        store.cache.close()
+        assert sorted(path.name for path in tmp_path.iterdir()) == [REPORTS_FILENAME]
+        assert store.path == tmp_path / REPORTS_FILENAME
+        keys = [row["key"] for row in store.query(Query(sort="key"))]
         assert len(keys) == len(result.reports)
         assert all(len(key) == 64 for key in keys)
 
-    def test_broken_indexer_degrades_without_failing_the_sweep(self, tmp_path):
-        runtime = RuntimeConfig(processes=1, cache_dir=tmp_path)
-        with Session(sim=SIM, runtime=runtime) as session:
-            # Point the already-attached indexer at an impossible location
-            # (a directory cannot be opened as a sqlite database): ingest
-            # errors must warn once and disable, never fail a sweep.
-            indexer = session.cache.indexer
-            indexer.store.path = tmp_path / "not-a-database"
-            indexer.store.path.mkdir()
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                result = session.sweep(_sweep_spec())
-            assert len(result.reports) == 4
-            assert any("ingest disabled" in str(w.message) for w in caught)
-            assert indexer._failed is True
-
     def test_runtime_env_knobs(self, monkeypatch, tmp_path):
+        """The retired index-location variable relocates nothing."""
         monkeypatch.setenv("SMASH_REPRO_STORE_INDEX", str(tmp_path / "alt.sqlite"))
-        assert RuntimeConfig.from_env().store_index == str(tmp_path / "alt.sqlite")
-
-    def test_store_index_knob_relocates_the_index(self, tmp_path):
-        index_path = tmp_path / "elsewhere" / "idx.sqlite"
-        runtime = RuntimeConfig(
-            processes=1, cache_dir=tmp_path / "cache", store_index=index_path
-        )
+        runtime = RuntimeConfig.from_env(cache_dir=tmp_path / "cache")
+        assert not hasattr(runtime, "store_index")
         with Session(sim=SIM, runtime=runtime) as session:
             session.sweep(_sweep_spec())
-        assert index_path.exists()
-        store = ResultStore(tmp_path / "cache", index_path)
-        assert store.report_count() == 4
+        assert not (tmp_path / "alt.sqlite").exists()
+        assert ResultStore(tmp_path / "cache").report_count() == 4
 
 
 class TestQueries:
@@ -249,8 +204,7 @@ class TestTables:
     def test_tables_output_is_byte_identical_across_runs(self, warm_store):
         store, _ = warm_store
         first = render_tables(store, ("spmv_speedup", "spmv_dram"), fmt="csv")
-        store.reindex()
-        second = render_tables(store, ("spmv_speedup", "spmv_dram"), fmt="csv")
+        second = render_tables(ResultStore(store.root), ("spmv_speedup", "spmv_dram"), fmt="csv")
         assert first == second
 
     def test_missing_kernel_and_unknown_table_raise(self, warm_store):
@@ -267,36 +221,39 @@ class TestTables:
 
 
 class TestGc:
-    def test_gc_by_age_prunes_files_and_index_rows(self, tmp_path):
+    def test_gc_by_age_prunes_rows(self, tmp_path):
         _run_sweep(tmp_path)
         store = ResultStore(tmp_path)
         assert store.report_count() == 4
-        import os
-
-        victims = [path for _, path in ReportCache(tmp_path).iter_entries()][:2]
-        for path in victims:
-            os.utime(path, (1_000_000, 1_000_000))  # long before any cutoff
+        victims = [row["key"] for row in store.query(Query(sort="key"))][:2]
+        for key in victims:  # long before any cutoff
+            _update_rows(tmp_path, "UPDATE reports SET stored_at = 1e6 WHERE key = ?", (key,))
         now = 1_000_000 + 10 * 86400
         dry = gc_cache(tmp_path, max_age_days=5, now=now, dry_run=True)
-        assert dry.pruned_old == 2 and dry.index_rows_removed == 0
-        assert all(path.exists() for path in victims)
+        assert dry.pruned_old == 2 and dry.pruned_keys == victims
+        assert store.report_count() == 4
         stats = gc_cache(tmp_path, max_age_days=5, now=now)
         assert stats.pruned_old == 2 and stats.kept == 2
-        assert stats.index_rows_removed == 2
-        assert not any(path.exists() for path in victims)
-        assert store.report_count() == 2
-        # The pruned index equals a cold rebuild of the pruned tree.
-        remaining = store.canonical_dump()
-        store.reindex()
-        assert store.canonical_dump() == remaining
+        remaining = {row["key"] for row in store.query(Query())}
+        assert store.report_count() == 2 and not remaining & set(victims)
+
+    def test_gc_age_cutoff_reads_the_row_write_instant(self, tmp_path):
+        """Fresh rows carry sqlite's clock: nothing is a day old yet."""
+        import time
+
+        _run_sweep(tmp_path)
+        stats = gc_cache(tmp_path, max_age_days=1, now=time.time())
+        assert (stats.pruned_old, stats.kept) == (0, 4)
 
     def test_gc_orphaned_prunes_foreign_documents(self, tmp_path):
         _run_sweep(tmp_path)
-        (tmp_path / "ff").mkdir()
-        (tmp_path / "ff" / ("f" * 64 + ".json")).write_text(json.dumps({"schema": 999}))
+        store = ResultStore(tmp_path)
+        victim = store.query(Query(sort="key"))[0]["key"]
+        _update_rows(tmp_path, "UPDATE reports SET cache_schema = 999 WHERE key = ?", (victim,))
         stats = gc_cache(tmp_path, orphaned=True)
-        assert stats.pruned_foreign == 1 and stats.kept == 4
-        assert not (tmp_path / "ff").exists()  # emptied shard removed too
+        assert stats.pruned_foreign == 1 and stats.kept == 3
+        assert stats.pruned_keys == [victim]
+        assert store.report_count() == 3
 
     def test_gc_age_requires_now(self, tmp_path):
         with pytest.raises(ValueError, match="requires an explicit"):
@@ -345,35 +302,25 @@ class TestStoreCli:
         argv = ["tables", "spmv_speedup", "--cache-dir", str(tmp_path), "--format", "csv"]
         assert cli_main(argv) == 0
         first = capsys.readouterr().out
-        assert cli_main(argv + ["--reindex"]) == 0
+        assert cli_main(argv) == 0
         second = capsys.readouterr().out
         assert first == second
 
-    def test_cache_stats_and_reindex_cli(self, tmp_path, capsys):
+    def test_cache_stats_cli(self, tmp_path, capsys):
         _run_sweep(tmp_path)
         assert cli_main(["cache", "stats", "--cache-dir", str(tmp_path), "--json"]) == 0
         stats = json.loads(capsys.readouterr().out)
-        assert stats["reports"] == 4 and stats["index"]["rows"] == 4
-        assert cli_main(["cache", "reindex", "--cache-dir", str(tmp_path)]) == 0
-        assert "4 indexed" in capsys.readouterr().out
+        assert stats == {"root": str(tmp_path), "schema": 1, "reports": 4}
+        assert cli_main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == f"cache {tmp_path}: schema 1, 4 reports\n"
+
+    def test_store_cli_reports_an_unreadable_database(self, tmp_path, capsys):
+        (tmp_path / REPORTS_FILENAME).write_bytes(b"not a database" * 100)
+        assert cli_main(["query", "--cache-dir", str(tmp_path)]) == 2
+        assert "smash-repro:" in capsys.readouterr().err
 
     def test_cache_gc_cli(self, tmp_path, capsys):
         _run_sweep(tmp_path)
-        (tmp_path / "ff").mkdir()
-        (tmp_path / "ff" / ("f" * 64 + ".json")).write_text("broken{")
+        _update_rows(tmp_path, "UPDATE reports SET cache_schema = 0 WHERE scheme = 'smash_hw'")
         assert cli_main(["cache", "gc", "--cache-dir", str(tmp_path), "--orphaned"]) == 0
-        assert "(0 stale, 1 foreign/broken)" in capsys.readouterr().out
-
-
-class TestIndexerAttachment:
-    def test_attach_indexer_replaces_the_cache_hook(self, tmp_path):
-        cache = ReportCache(tmp_path)
-        first = attach_indexer(cache)
-        assert cache.indexer is first
-        second = attach_indexer(cache)
-        assert second is not first
-        assert cache.indexer is second
-        # A cached Session wires an indexer onto the cache it owns.
-        runtime = RuntimeConfig(processes=1, cache_dir=tmp_path)
-        with Session(sim=SIM, runtime=runtime) as session:
-            assert session.cache.indexer is not None
+        assert "pruned 2 (0 stale, 2 foreign), 2 kept" in capsys.readouterr().out

@@ -1,24 +1,30 @@
-"""Tests for the sweep write path: batched index ingest and its failure modes.
+"""Tests for the sweep write path: one transaction per batch and its faults.
 
-The write-path contract (DESIGN.md section 16):
+The write-path contract (DESIGN.md sections 9 and 16):
 
-* one resolution — one pool chunk, or one serial batch of misses — reaches
-  the index in one ``ResultStore.ingest`` call, and the rows are indexed
-  before the sweep returns;
-* the index schema is ensured once per store object, and a batch that
-  finds the index file gone re-creates it;
-* a failing ``ReportCache.store`` (disk full) degrades to an uncached
-  success: byte-identical reports, nothing cached or indexed for the job,
-  one warning per runner, and joiners never hang;
-* a failing ingest, a torn index file and a truncated cache document each
-  end in a successful sweep, and ``reindex`` recovers an index equal to a
-  clean one.
+* one resolution — one pool chunk, or one serial batch of misses — is
+  stored by one ``ReportCache.store`` call in one transaction, and the rows
+  are in the database before the sweep returns;
+* a failing store (disk full) degrades to an uncached success:
+  byte-identical reports, nothing of that batch cached, one warning per
+  runner, and joiners never hang;
+* an unreadable database (garbage bytes, a truncated file, a foreign
+  schema) degrades the same way and is never overwritten;
+* a truncated row is a miss and is rewritten;
+* a writer killed in the middle of a batch leaves all of it or none, and
+  two processes writing one cache at once both finish.
 """
 
 import errno
 import itertools
 import json
+import os
+import signal
 import sqlite3
+import subprocess
+import sys
+import textwrap
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -26,10 +32,12 @@ import pytest
 
 from repro.api.config import RuntimeConfig
 from repro.api.session import Session
-from repro.api.specs import SweepSpec, Workload
-from repro.eval.runner import ReportCache, SweepRunner, job_key, kernel_job
+from repro.api.specs import JobSpec, SweepSpec, Workload
+from repro.eval.cli import main as cli_main
+from repro.eval.runner import REPORTS_FILENAME, ReportCache, SweepRunner, job_key, kernel_job
+from repro.service.server import running_server
 from repro.sim.config import SimConfig
-from repro.store import Query, ResultStore, attach_indexer
+from repro.store import Query, ResultStore
 
 SIM = SimConfig.scaled(16)
 
@@ -45,12 +53,6 @@ BAD_KEY = job_key(JOBS[5])
 
 def _report_keys(reports):
     return [json.dumps(report.to_dict(), sort_keys=True) for report in reports]
-
-
-def _indexed_runner(processes, cache_dir):
-    runner = SweepRunner(processes=processes, cache_dir=cache_dir)
-    attach_indexer(runner.cache)
-    return runner
 
 
 def _run_bounded(runner, jobs, timeout=300):
@@ -70,52 +72,68 @@ def _runtime_warnings(caught, text):
 
 @pytest.fixture(scope="module")
 def reference(tmp_path_factory):
-    """The uncached reports of ``JOBS`` and the dump of a clean index of them."""
+    """The uncached reports of ``JOBS`` and the dump of a clean cache of them."""
     with SweepRunner(processes=1) as uncached:
         expected = _report_keys(uncached.run(JOBS))
     clean_dir = tmp_path_factory.mktemp("clean")
-    with _indexed_runner(1, clean_dir) as runner:
+    with SweepRunner(processes=1, cache_dir=clean_dir) as runner:
         assert _report_keys(runner.run(JOBS)) == expected
     return expected, ResultStore(clean_dir).canonical_dump()
 
 
 @pytest.fixture()
-def ingest_calls(monkeypatch):
-    """Batch sizes of every ``ResultStore.ingest`` call made in the test."""
-    calls = []
-    original = ResultStore.ingest
+def store_calls(monkeypatch):
+    """Batch sizes of every ``ReportCache.store`` call, and every transaction
+    its connections began (sqlite's statement trace)."""
+    calls, statements = [], []
+    original_store, original_open = ReportCache.store, ReportCache._open
 
-    def counting(self, batch):
-        calls.append(len(batch))
-        return original(self, batch)
+    def counting_store(self, entries):
+        calls.append(len(entries))
+        return original_store(self, entries)
 
-    monkeypatch.setattr(ResultStore, "ingest", counting)
-    return calls
+    def tracing_open(self):
+        conn = original_open(self)
+        conn.set_trace_callback(statements.append)
+        return conn
+
+    monkeypatch.setattr(ReportCache, "store", counting_store)
+    monkeypatch.setattr(ReportCache, "_open", tracing_open)
+    return calls, statements
+
+
+def _transactions(statements):
+    return sum(1 for statement in statements if statement.startswith("BEGIN"))
 
 
 class TestBatchedIngest:
-    def test_serial_run_is_one_ingest_call(self, tmp_path, ingest_calls, reference):
+    def test_serial_run_is_one_ingest_call(self, tmp_path, store_calls, reference):
         expected, clean = reference
-        with _indexed_runner(1, tmp_path) as runner:
+        calls, statements = store_calls
+        with SweepRunner(processes=1, cache_dir=tmp_path) as runner:
             assert _report_keys(runner.run(JOBS)) == expected
-        assert ingest_calls == [len(JOBS)]
+        assert calls == [len(JOBS)]
+        assert _transactions(statements) == 1
         store = ResultStore(tmp_path)
         assert store.report_count() == len(JOBS)
         assert store.canonical_dump() == clean
 
-    def test_pooled_run_is_one_ingest_call_per_chunk(self, tmp_path, ingest_calls, reference):
+    def test_pooled_run_is_one_ingest_call_per_chunk(self, tmp_path, store_calls, reference):
         expected, clean = reference
-        with _indexed_runner(2, tmp_path) as runner:
+        calls, statements = store_calls
+        with SweepRunner(processes=2, cache_dir=tmp_path) as runner:
             chunk = runner._effective_pool_chunk(len(JOBS))
             assert chunk == 2  # several rows per batch: the leg is not vacuous
             reports = _run_bounded(runner, JOBS)
-            # The rows are indexed before the futures complete.
+            # The rows are stored before the futures complete.
             assert ResultStore(tmp_path).report_count() == len(JOBS)
         assert _report_keys(reports) == expected
-        assert ingest_calls == [chunk] * -(-len(JOBS) // chunk)
+        assert calls == [chunk] * -(-len(JOBS) // chunk)
+        assert _transactions(statements) == len(calls)
         assert ResultStore(tmp_path).canonical_dump() == clean
 
     def test_deleted_index_is_recreated_by_the_next_sweep(self, tmp_path):
+        """Deleting the database between Sessions resets the cache."""
         runtime = RuntimeConfig(processes=1, cache_dir=tmp_path)
         first, second = (
             SweepSpec.product(kernels="spmv", schemes=scheme, matrices=("M2", "M8"), dim=48)
@@ -123,36 +141,30 @@ class TestBatchedIngest:
         )
         with Session(sim=SIM, runtime=runtime) as session:
             session.sweep(first)
-            store = ResultStore(tmp_path)
-            assert store.report_count() == 2
-            store.path.unlink()
+        store = ResultStore(tmp_path)
+        assert store.report_count() == 2
+        store.cache.close()  # no connection may hold the unlinked file
+        store.path.unlink()
+        with Session(sim=SIM, runtime=runtime) as session:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 session.sweep(second)
-            assert session.cache.indexer._failed is False
+            assert session.stats_snapshot().executed == 2
         # Both schemes ignore the SMASH config, so the spec lowers to the
         # session's job key without it.
         keys = {row["key"] for row in store.query(Query(sort="key"))}
         assert keys == {job_key(spec.to_job(sim=SIM)) for spec in second.specs}
 
-    def test_foreign_and_malformed_documents_are_not_counted(self, tmp_path, reference):
-        cache = ReportCache(tmp_path)
-        good = cache.store(job_key(JOBS[0]), JOBS[0], json.loads(reference[0][0]))
-        store = ResultStore(tmp_path)
-        batch = [("ab" * 32, {"schema": 999}), (job_key(JOBS[0]), good), ("cd" * 32, "x")]
-        assert store.ingest(batch) == 1
-        assert store.report_count() == 1
-
 
 @pytest.fixture()
 def disk_full_for_one_key(monkeypatch):
-    """``ReportCache.store`` raises ENOSPC for ``BAD_KEY`` and works otherwise."""
+    """``ReportCache.store`` raises ENOSPC for a batch holding ``BAD_KEY``."""
     original = ReportCache.store
 
-    def store(self, key, job, payload):
-        if key == BAD_KEY:
+    def store(self, entries):
+        if any(key == BAD_KEY for key, _, _ in entries):
             raise OSError(errno.ENOSPC, "No space left on device")
-        return original(self, key, job, payload)
+        return original(self, entries)
 
     monkeypatch.setattr(ReportCache, "store", store)
 
@@ -163,27 +175,28 @@ class TestStoreFailureDegrades:
         self, processes, tmp_path, disk_full_for_one_key, reference
     ):
         expected, _ = reference
-        with _indexed_runner(processes, tmp_path) as runner:
+        with SweepRunner(processes=processes, cache_dir=tmp_path) as runner:
+            # The failing batch: every miss when serial, one chunk when pooled.
+            lost = len(JOBS) if processes == 1 else runner._effective_pool_chunk(len(JOBS))
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 assert _report_keys(_run_bounded(runner, JOBS)) == expected
                 assert runner.stats_snapshot().executed == len(JOBS)
-                assert not runner.cache.path_for(BAD_KEY).exists()
+                assert runner.cache.load(BAD_KEY, JOBS[5]) is None
                 store = ResultStore(tmp_path)
-                assert store.report_count() == len(JOBS) - 1
-                indexed = {row["key"] for row in store.query(Query(sort="key"))}
-                assert BAD_KEY not in indexed
-                # Only the uncached job re-executes on a second run.
+                assert store.report_count() == len(JOBS) - lost
+                stored = {row["key"] for row in store.query(Query(sort="key"))}
+                assert BAD_KEY not in stored
+                # Only the uncached jobs re-execute on a second run.
                 assert _report_keys(_run_bounded(runner, JOBS)) == expected
-                assert runner.stats_snapshot().executed == len(JOBS) + 1
+                assert runner.stats_snapshot().executed == len(JOBS) + lost
             assert len(_runtime_warnings(caught, "not cached")) == 1
-            assert not _runtime_warnings(caught, "ingest disabled")
 
     def test_joiners_of_a_failed_store_never_hang(
         self, processes, tmp_path, disk_full_for_one_key, reference
     ):
         expected, _ = reference
-        with _indexed_runner(processes, tmp_path) as runner:
+        with SweepRunner(processes=processes, cache_dir=tmp_path) as runner:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 with ThreadPoolExecutor(max_workers=2) as callers:
@@ -192,57 +205,174 @@ class TestStoreFailureDegrades:
         assert [_report_keys(result) for result in results] == [expected, expected]
 
 
+def _garbage(path):
+    path.write_bytes(bytes(range(256)) * 16)
+
+
+def _truncated(path):
+    """A real report database cut down to its first page."""
+    with SweepRunner(processes=1, cache_dir=path.parent) as runner:
+        runner.run(JOBS[:2])
+    with open(path, "r+b") as handle:
+        handle.truncate(4096)
+
+
+def _foreign(path):
+    conn = sqlite3.connect(str(path))
+    conn.execute("PRAGMA user_version = 999")
+    conn.close()
+
+
 @pytest.mark.parametrize("processes", [1, 2])
-class TestIndexFaults:
-    def test_failing_ingest_warns_once_and_reindex_recovers(
-        self, processes, tmp_path, monkeypatch, reference
-    ):
-        expected, clean = reference
-        calls = []
-
-        def failing(self, batch):
-            calls.append(len(batch))
-            raise sqlite3.OperationalError("disk I/O error")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(ResultStore, "ingest", failing)
-            with _indexed_runner(processes, tmp_path) as runner:
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    reports = _run_bounded(runner, JOBS[:6]) + _run_bounded(runner, JOBS[6:])
-        assert _report_keys(reports) == expected
-        assert len(calls) == 1  # later batches are skipped
-        assert len(_runtime_warnings(caught, "ingest disabled")) == 1
-        store = ResultStore(tmp_path)
-        assert store.reindex().indexed == len(JOBS)
-        assert store.canonical_dump() == clean
-
-    def test_torn_index_degrades_and_reindex_recovers(self, processes, tmp_path, reference):
-        expected, clean = reference
-        store = ResultStore(tmp_path)
-        tmp_path.mkdir(exist_ok=True)
-        store.path.write_bytes(bytes(range(256)) * 16)
-        with _indexed_runner(processes, tmp_path) as runner:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                reports = _run_bounded(runner, JOBS[:6]) + _run_bounded(runner, JOBS[6:])
-        assert _report_keys(reports) == expected
-        assert len(_runtime_warnings(caught, "ingest disabled")) == 1
-        assert store.reindex().indexed == len(JOBS)
-        assert store.canonical_dump() == clean
+@pytest.mark.parametrize("damage", [_garbage, _truncated, _foreign], ids=lambda f: f.__name__[1:])
+def test_unreadable_database_is_an_uncached_success(processes, damage, tmp_path, reference):
+    expected, _ = reference
+    path = tmp_path / REPORTS_FILENAME
+    damage(path)
+    before = path.read_bytes()
+    with SweepRunner(processes=processes, cache_dir=tmp_path) as runner:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            reports = _run_bounded(runner, JOBS[:6]) + _run_bounded(runner, JOBS[6:])
+        stats = runner.stats_snapshot()
+    assert _report_keys(reports) == expected
+    assert (stats.executed, stats.cache_hits) == (len(JOBS), 0)
+    assert len(_runtime_warnings(caught, "not cached")) == 1
+    assert len([w for w in caught if issubclass(w.category, RuntimeWarning)]) == 1
+    assert path.read_bytes() == before
 
 
 def test_truncated_cache_document_is_a_miss_and_reexecutes(tmp_path, reference):
     expected, clean = reference
-    with _indexed_runner(1, tmp_path) as runner:
+    with SweepRunner(processes=1, cache_dir=tmp_path) as runner:
         runner.run(JOBS)
-    path = ReportCache(tmp_path).path_for(BAD_KEY)
-    text = path.read_bytes()
-    path.write_bytes(text[: len(text) // 2])
+    conn = sqlite3.connect(str(tmp_path / REPORTS_FILENAME))
+    (text,) = conn.execute("SELECT report FROM reports WHERE key = ?", (BAD_KEY,)).fetchone()
+    with conn:
+        conn.execute(
+            "UPDATE reports SET report = substr(report, 1, length(report) / 2) WHERE key = ?",
+            (BAD_KEY,),
+        )
     assert ReportCache(tmp_path).load(BAD_KEY, JOBS[5]) is None
-    with _indexed_runner(1, tmp_path) as runner:
+    with SweepRunner(processes=1, cache_dir=tmp_path) as runner:
         assert _report_keys(runner.run(JOBS)) == expected
         stats = runner.stats_snapshot()
     assert (stats.executed, stats.cache_hits) == (1, len(JOBS) - 1)
-    assert path.read_bytes() == text
+    assert conn.execute("SELECT report FROM reports WHERE key = ?", (BAD_KEY,)).fetchone() == (text,)
+    conn.close()
     assert ResultStore(tmp_path).canonical_dump() == clean
+
+
+#: A writer that commits JOBS[:6], then is stopped inside the transaction
+#: of its JOBS[6:] batch, after half of that batch's rows are inserted.
+_KILLED_WRITER = textwrap.dedent(
+    """
+    import itertools, pathlib, sys, time
+    from repro.eval import runner
+    from repro.api.specs import Workload
+    from repro.sim.config import SimConfig
+
+    sim = SimConfig.scaled(16)
+    jobs = [
+        runner.kernel_job("spmv", scheme, Workload.suite(key, 48), sim)
+        for key, scheme in itertools.product(
+            ("M2", "M8", "M13"), ("taco_csr", "smash_hw", "mkl_csr", "smash_sw")
+        )
+    ]
+    cache_dir, marker = sys.argv[1], pathlib.Path(sys.argv[2])
+    with runner.SweepRunner(processes=1, cache_dir=cache_dir) as sweep:
+        sweep.run(jobs[:6])
+        original = runner.ReportCache.store
+
+        def stalling_store(self, entries):
+            with self.connection() as conn:
+                start = conn.total_changes
+
+                def progress():
+                    if conn.total_changes - start >= len(entries) // 2:
+                        marker.write_text("mid-batch")
+                        time.sleep(600)
+                    return 0
+
+                conn.set_progress_handler(progress, 10)
+            original(self, entries)
+
+        runner.ReportCache.store = stalling_store
+        sweep.run(jobs[6:])
+    """
+)
+
+
+def test_writer_killed_mid_batch_leaves_all_or_nothing(tmp_path, reference):
+    expected, clean = reference
+    marker = tmp_path / "marker"
+    cache_dir = tmp_path / "cache"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    writer = subprocess.Popen(
+        [sys.executable, "-c", _KILLED_WRITER, str(cache_dir), str(marker)], env=env
+    )
+    try:
+        deadline = time.monotonic() + 240
+        while not marker.exists():
+            assert writer.poll() is None, "the writer exited before its second batch"
+            assert time.monotonic() < deadline, "the writer never reached its second batch"
+            time.sleep(0.05)
+    finally:
+        writer.send_signal(signal.SIGKILL)
+        writer.wait()
+    store = ResultStore(cache_dir)
+    assert store.report_count() == 6
+    with store.cache.connection() as conn:
+        assert conn.execute("PRAGMA integrity_check").fetchone() == ("ok",)
+    store.cache.close()
+    specs = [JobSpec(job.kind, job.scheme, job.source) for job in JOBS]
+    runtime = RuntimeConfig(processes=1, cache_dir=cache_dir)
+    with Session(sim=SIM, runtime=runtime) as session:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = session.sweep(specs).reports
+        stats = session.stats_snapshot()
+    assert _report_keys(reports) == expected
+    assert (stats.executed, stats.cache_hits) == (6, 6)
+    assert store.canonical_dump() == clean
+
+
+def test_cli_sweep_and_serve_share_one_cache(tmp_path, reference):
+    """A CLI sweep in another process and an in-process daemon write one
+    database at the same time; both finish and every row lands once."""
+    import urllib.request
+
+    spec = SweepSpec.product(
+        kernels="spmv", schemes=("taco_csr", "smash_hw"), matrices=("M5", "M11"), dim=48
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    session = Session(sim=SIM, runtime=RuntimeConfig(processes=1, cache_dir=tmp_path))
+    with running_server(session) as server:
+        cli = subprocess.Popen(
+            [sys.executable, "-m", "repro.eval", "run", "figure10", "--quick",
+             "--cache-dir", str(tmp_path), "--output", str(tmp_path / "fig10.json")],
+            env=env, stderr=subprocess.PIPE, text=True,
+        )
+        base = f"http://127.0.0.1:{server.bound_port}"
+        request = urllib.request.Request(
+            f"{base}/sweeps", data=json.dumps(spec.to_payload()).encode(), method="POST",
+            headers={"Content-Type": "application/json"},
+        )
+        with urllib.request.urlopen(request) as response:
+            created = json.load(response)
+        with urllib.request.urlopen(f"{base}/sweeps/{created['id']}/reports") as response:
+            served = json.load(response)["reports"]
+        _, err = cli.communicate(timeout=300)
+    session.close()
+    assert cli.returncode == 0, err
+    assert "12 executed" in err
+    with Session(sim=SIM, runtime=RuntimeConfig(processes=1, cache_dir=None)) as ref:
+        assert json.dumps(served, sort_keys=True) == json.dumps(
+            [report.to_dict() for report in ref.sweep(spec).reports], sort_keys=True
+        )
+    # The figure's 12 jobs and the daemon's 4 share the taco_csr / smash_hw
+    # reports of no matrix, so every row is distinct.
+    assert ResultStore(tmp_path).report_count() == 12 + len(spec.specs)
+    assert cli_main(["run", "figure10", "--quick", "--cache-dir", str(tmp_path),
+                     "--output", str(tmp_path / "warm.json")]) == 0
+    assert (tmp_path / "warm.json").read_bytes() == (tmp_path / "fig10.json").read_bytes()
