@@ -15,6 +15,7 @@ from several threads and checks the counters afterwards.
 
 import json
 import multiprocessing
+import sys
 import threading
 
 import pytest
@@ -163,14 +164,21 @@ class TestSingleFlight:
 
 class TestConcurrentSessions:
     def test_threaded_overlapping_sweeps_stress(self, tmp_path):
-        """N threads, overlapping specs: exact stats, identical reports."""
+        """N threads, overlapping specs: exact stats, identical reports.
+
+        A fifth thread queries the cache's shared connection throughout
+        (as the daemon's ``/query`` and ``/healthz`` do).
+        """
+        from repro.store import Query, ResultStore
+
         spec = _sweep_spec()
         with Session(runtime=RuntimeConfig(processes=1, cache_dir=None)) as baseline:
             expected = _report_keys(baseline.sweep(spec).reports)
 
         threads, errors, results = [], [], {}
         session = Session(runtime=RuntimeConfig(processes=1, cache_dir=tmp_path))
-        barrier = threading.Barrier(4)
+        barrier = threading.Barrier(5)
+        done = threading.Event()
 
         def worker(name):
             try:
@@ -180,12 +188,34 @@ class TestConcurrentSessions:
             except BaseException as error:  # surfaces in the main thread
                 errors.append((name, error))
 
-        for index in range(4):
-            thread = threading.Thread(target=worker, args=(f"t{index}",))
-            threads.append(thread)
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
+        def reader():
+            try:
+                barrier.wait(timeout=30)
+                store = ResultStore(session.cache)
+                while not done.is_set():
+                    rows = store.query(Query())
+                    assert len(rows) <= session.cache.stats()["reports"]
+            except BaseException as error:  # surfaces in the main thread
+                errors.append(("reader", error))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for index in range(4):
+                thread = threading.Thread(target=worker, args=(f"t{index}",))
+                threads.append(thread)
+                thread.start()
+            query_thread = threading.Thread(target=reader)
+            query_thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+            done.set()
+            query_thread.join(timeout=60)
+            assert not query_thread.is_alive()
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
         assert not errors, errors
 
         unique_jobs = len({job_key(s.to_job(sim=session.sim)) for s in spec})
@@ -204,8 +234,6 @@ class TestConcurrentSessions:
 
         # The report database survived the concurrent store() traffic: one
         # row per unique job.
-        from repro.store import ResultStore
-
         assert ResultStore(tmp_path).report_count() == unique_jobs
 
     def test_mixed_sweep_and_submit_share_cache(self, tmp_path):
