@@ -312,7 +312,9 @@ class ReportCache:
     process, several CLI invocations, the service daemon — coordinate
     through sqlite's file locking, and each :meth:`store` batch lands in
     one transaction (all of it or none). A process that inherits the cache
-    across a fork opens its own connection.
+    across a fork opens its own connection, and a database file deleted
+    or replaced under an open connection is noticed on the next use and
+    reopened, so later rows land in the file at the path.
     """
 
     def __init__(self, root: Union[str, pathlib.Path] = DEFAULT_CACHE_DIR) -> None:
@@ -321,9 +323,29 @@ class ReportCache:
         self._lock = threading.Lock()
         self._conn: Optional[sqlite3.Connection] = None
         self._pid = 0
+        self._identity: Optional[Tuple[int, int]] = None
+
+    def _file_identity(self) -> Optional[Tuple[int, int]]:
+        """``(st_dev, st_ino)`` of the database file, None when it is gone."""
+        try:
+            status = os.stat(self.path)
+        except FileNotFoundError:
+            return None
+        return status.st_dev, status.st_ino
 
     def _open(self) -> sqlite3.Connection:
         self.root.mkdir(parents=True, exist_ok=True)
+        try:
+            os.close(os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            pass
+        else:
+            # This process creates the database. A log and shared-memory
+            # file left by a deleted one, still open in another process,
+            # would wedge it (sqlite reads their frames against this file).
+            for suffix in ("-wal", "-shm"):
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(f"{self.path}{suffix}")
         conn = sqlite3.connect(str(self.path), timeout=30.0, check_same_thread=False)
         try:
             # Check the version first: a foreign database is left untouched.
@@ -345,17 +367,26 @@ class ReportCache:
     def connection(self) -> Iterator[sqlite3.Connection]:
         """The cache's connection, held under its lock for the block."""
         with self._lock:
-            if self._conn is None or self._pid != os.getpid():
+            identity = self._file_identity()
+            stale = identity is None or identity != self._identity
+            if self._conn is not None and (stale or self._pid != os.getpid()):
+                self._drop()
+            if self._conn is None:
                 self._conn = self._open()
                 self._pid = os.getpid()
+                self._identity = self._file_identity()
             yield self._conn
+
+    def _drop(self) -> None:
+        """Forget the connection; close it if this process opened it."""
+        conn, self._conn = self._conn, None
+        if conn is not None and self._pid == os.getpid():
+            conn.close()
 
     def close(self) -> None:
         """Close the connection; the next use reopens it."""
         with self._lock:
-            conn, self._conn = self._conn, None
-            if conn is not None and self._pid == os.getpid():
-                conn.close()
+            self._drop()
 
     def count(self) -> int:
         """Rows in the database (0 before the first store)."""

@@ -30,6 +30,7 @@ import contextlib
 import dataclasses
 import itertools
 import json
+import sqlite3
 import threading
 import urllib.parse
 from concurrent.futures import Future, wait
@@ -175,9 +176,19 @@ class ServiceState:
         return _stats_to_dict(self.session.stats_snapshot())
 
     def cache_stats(self) -> Optional[Dict[str, object]]:
-        """The shared cache's identity card for ``/healthz`` (None = uncached)."""
+        """The shared cache's identity card for ``/healthz`` (None = uncached).
+
+        An unreadable database degrades sweeps to uncached successes, so
+        the daemon stays live; the card then names the error instead of a
+        report count.
+        """
         cache = self.session.cache
-        return cache.stats() if cache is not None else None
+        if cache is None:
+            return None
+        try:
+            return cache.stats()
+        except (OSError, sqlite3.Error) as error:
+            return {"root": str(cache.root), "unreadable": str(error)}
 
     def runtime_info(self) -> Dict[str, object]:
         """The shared runtime's execution knobs for ``/healthz``.

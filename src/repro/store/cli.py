@@ -152,7 +152,7 @@ def add_store_subcommands(subparsers) -> None:
     gc_parser.add_argument(
         "--orphaned",
         action="store_true",
-        help="prune rows written under a foreign cache schema",
+        help="prune rows written under a foreign cache schema and the pre-5.0.0 cache files",
     )
     gc_parser.add_argument("--dry-run", action="store_true", help="report without deleting")
     _add_cache_arguments(gc_parser)

@@ -11,18 +11,28 @@ gc`` bounds it after the fact with two independent predicates:
   deterministic and testable with synthetic clocks.
 * ``orphaned`` — prune rows written under a foreign cache schema
   version. These are permanent cache misses: the runner will never load
-  them again.
+  them again. The files a cache from before the single database (5.0.0)
+  left at its root — ``index.sqlite`` with its side files and the
+  ``<xx>/<key>.json`` shards — are never read either, and go too.
 
 ``dry_run`` reports without deleting.
 """
 
 from __future__ import annotations
 
+import contextlib
 import pathlib
+import re
 from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
 from repro.eval.runner import CACHE_SCHEMA_VERSION, ReportCache
+
+#: The pre-5.0.0 index and its sqlite side files, directly under the root.
+_LEGACY_INDEX = ("index.sqlite", "index.sqlite-wal", "index.sqlite-shm", "index.sqlite-journal")
+
+#: A pre-5.0.0 shard directory: the first two hex digits of the job key.
+_SHARD_DIR = re.compile(r"[0-9a-f]{2}")
 
 
 @dataclass
@@ -33,6 +43,7 @@ class GcStats:
     pruned_old: int = 0
     pruned_foreign: int = 0
     kept: int = 0
+    legacy_files: int = 0
     dry_run: bool = False
     pruned_keys: List[str] = field(default_factory=list)
 
@@ -46,7 +57,17 @@ class GcStats:
             f"{self.scanned} scanned, {action} {self.pruned} "
             f"({self.pruned_old} stale, {self.pruned_foreign} foreign), "
             f"{self.kept} kept"
+            + (f", {action} {self.legacy_files} legacy files" if self.legacy_files else "")
         )
+
+
+def _legacy_files(root: pathlib.Path) -> List[pathlib.Path]:
+    """The pre-5.0.0 index files and JSON shards (with their temp files) under ``root``."""
+    found = [root / name for name in _LEGACY_INDEX if (root / name).is_file()]
+    for shard in sorted(root.iterdir()):
+        if shard.is_dir() and _SHARD_DIR.fullmatch(shard.name):
+            found.extend(sorted(p for p in shard.iterdir() if p.is_file() and ".json" in p.name))
+    return found
 
 
 def gc_cache(
@@ -92,4 +113,13 @@ def gc_cache(
                     )
     finally:
         cache.close()
+    if orphaned:
+        legacy = _legacy_files(cache.root)
+        stats.legacy_files = len(legacy)
+        if not dry_run:
+            for path in legacy:
+                path.unlink(missing_ok=True)
+            for shard in sorted({path.parent for path in legacy} - {cache.root}):
+                with contextlib.suppress(OSError):  # kept when it holds other files
+                    shard.rmdir()
     return stats

@@ -10,6 +10,7 @@ an ephemeral loopback port via :func:`repro.service.server.running_server`.
 import http.client
 import json
 import socket
+import sqlite3
 import statistics
 import time
 import urllib.error
@@ -21,6 +22,7 @@ import pytest
 from repro.api.config import RuntimeConfig
 from repro.api.session import Session
 from repro.api.specs import JobSpec, SweepSpec, Workload, sim_from_payload, sim_to_payload
+from repro.eval.runner import REPORTS_FILENAME
 from repro.service import server as server_module
 from repro.service.server import MAX_BODY_BYTES, running_server
 from repro.sim.config import SimConfig
@@ -173,6 +175,24 @@ class TestServiceRoundTrip:
         _request("POST", f"{base}/sweeps", _sweep_spec().to_payload())
         _, body = _request("GET", f"{base}/healthz")
         assert body["cache"]["reports"] == len(_sweep_spec().specs)
+
+    @pytest.mark.parametrize("foreign", [False, True], ids=["garbage", "foreign-schema"])
+    def test_healthz_survives_an_unreadable_database(self, service, tmp_path, foreign):
+        base, session = service
+        path = tmp_path / REPORTS_FILENAME
+        if foreign:
+            conn = sqlite3.connect(str(path))
+            conn.execute("PRAGMA user_version = 999")
+            conn.close()
+        else:
+            path.write_bytes(b"not a database" * 100)
+        with pytest.warns(RuntimeWarning, match="not cached"):
+            _, created = _request("POST", f"{base}/sweeps", _sweep_spec().to_payload())
+            _request("GET", f"{base}/sweeps/{created['id']}/reports")
+        status, body = _request("GET", f"{base}/healthz")
+        assert (status, body["status"]) == (200, "ok")
+        assert body["cache"]["root"] == str(tmp_path)
+        assert "reports" not in body["cache"] and body["cache"]["unreadable"]
 
 
 class TestQueryEndpoint:

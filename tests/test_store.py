@@ -255,6 +255,32 @@ class TestGc:
         assert stats.pruned_keys == [victim]
         assert store.report_count() == 3
 
+    def test_gc_orphaned_removes_the_pre_single_database_layout(self, tmp_path):
+        _run_sweep(tmp_path)
+        legacy = [
+            tmp_path / "index.sqlite",
+            tmp_path / "index.sqlite-wal",
+            tmp_path / "ab" / f"{'ab' * 32}.json",
+            tmp_path / "ab" / f"{'ab' * 32}.json.7.0.tmp",
+            tmp_path / "0f" / f"{'0f' * 32}.json",
+        ]
+        kept = [tmp_path / "0f" / "notes.txt", tmp_path / "xy" / f"{'ab' * 32}.json"]
+        for path in legacy + kept:
+            path.parent.mkdir(exist_ok=True)
+            path.write_text("{}")
+        assert gc_cache(tmp_path, max_age_days=1, now=0.0).legacy_files == 0
+        dry = gc_cache(tmp_path, orphaned=True, dry_run=True)
+        assert dry.legacy_files == len(legacy) and all(path.exists() for path in legacy)
+        assert "would prune 5 legacy files" in dry.describe()
+        stats = gc_cache(tmp_path, orphaned=True)
+        assert (stats.legacy_files, stats.kept) == (len(legacy), 4)
+        assert not any(path.exists() for path in legacy) and all(path.exists() for path in kept)
+        assert sorted(p.name for p in tmp_path.iterdir() if not p.name.startswith("reports")) == [
+            "0f",
+            "xy",
+        ]
+        assert ResultStore(tmp_path).report_count() == 4
+
     def test_gc_age_requires_now(self, tmp_path):
         with pytest.raises(ValueError, match="requires an explicit"):
             gc_cache(tmp_path, max_age_days=1)

@@ -11,6 +11,8 @@ The write-path contract (DESIGN.md sections 9 and 16):
 * an unreadable database (garbage bytes, a truncated file, a foreign
   schema) degrades the same way and is never overwritten;
 * a truncated row is a miss and is rewritten;
+* a database deleted under open connections, in this process or another,
+  is reopened: later rows land in the new file, with no warning;
 * a writer killed in the middle of a batch leaves all of it or none, and
   two processes writing one cache at once both finish.
 """
@@ -19,6 +21,7 @@ import errno
 import itertools
 import json
 import os
+import shutil
 import signal
 import sqlite3
 import subprocess
@@ -132,8 +135,8 @@ class TestBatchedIngest:
         assert _transactions(statements) == len(calls)
         assert ResultStore(tmp_path).canonical_dump() == clean
 
-    def test_deleted_index_is_recreated_by_the_next_sweep(self, tmp_path):
-        """Deleting the database between Sessions resets the cache."""
+    def _sweep_across_a_deletion(self, tmp_path, delete):
+        """Sweep, ``delete(store)``, sweep again in one Session; the second sweep's keys."""
         runtime = RuntimeConfig(processes=1, cache_dir=tmp_path)
         first, second = (
             SweepSpec.product(kernels="spmv", schemes=scheme, matrices=("M2", "M8"), dim=48)
@@ -141,19 +144,26 @@ class TestBatchedIngest:
         )
         with Session(sim=SIM, runtime=runtime) as session:
             session.sweep(first)
-        store = ResultStore(tmp_path)
-        assert store.report_count() == 2
-        store.cache.close()  # no connection may hold the unlinked file
-        store.path.unlink()
-        with Session(sim=SIM, runtime=runtime) as session:
+            store = ResultStore(tmp_path)
+            assert store.report_count() == 2
+            delete(store)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 session.sweep(second)
-            assert session.stats_snapshot().executed == 2
+            assert session.stats_snapshot().executed == 4
+        with store.cache.connection() as conn:
+            assert conn.execute("PRAGMA integrity_check").fetchone() == ("ok",)
         # Both schemes ignore the SMASH config, so the spec lowers to the
         # session's job key without it.
         keys = {row["key"] for row in store.query(Query(sort="key"))}
         assert keys == {job_key(spec.to_job(sim=SIM)) for spec in second.specs}
+
+    def test_deleted_index_is_recreated_by_the_next_sweep(self, tmp_path):
+        """The database deleted under open connections; its log files stay."""
+        self._sweep_across_a_deletion(tmp_path, lambda store: store.path.unlink())
+
+    def test_deleted_cache_root_is_recreated_by_the_next_sweep(self, tmp_path):
+        self._sweep_across_a_deletion(tmp_path, lambda store: shutil.rmtree(store.root))
 
 
 @pytest.fixture()
@@ -335,6 +345,49 @@ def test_writer_killed_mid_batch_leaves_all_or_nothing(tmp_path, reference):
     assert _report_keys(reports) == expected
     assert (stats.executed, stats.cache_hits) == (6, 6)
     assert store.canonical_dump() == clean
+
+
+#: Holds the cache's database open, then counts its rows again on request.
+_HOLDER = textwrap.dedent(
+    """
+    import sys
+    from repro.eval.runner import ReportCache
+    cache = ReportCache(sys.argv[1])
+    print(cache.count(), flush=True)
+    sys.stdin.readline()
+    print(cache.count(), flush=True)
+    """
+)
+
+
+def test_database_deleted_while_another_process_holds_it(tmp_path, reference):
+    """Only the database file goes; its log files stay open in another process."""
+    expected, _ = reference
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    with SweepRunner(processes=1, cache_dir=tmp_path) as runner:
+        first = runner.run(JOBS[:6])
+        with subprocess.Popen(
+            [sys.executable, "-c", _HOLDER, str(tmp_path)],
+            env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        ) as holder:
+            try:
+                assert holder.stdout.readline().strip() == "6"
+                (tmp_path / REPORTS_FILENAME).unlink()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    second = runner.run(JOBS[6:])
+                out, _ = holder.communicate("\n", timeout=120)
+            finally:
+                holder.kill()
+        stats = runner.stats_snapshot()
+    assert _report_keys(first + second) == expected
+    assert stats.executed == len(JOBS)
+    assert out.strip() == "6"  # the holder reopened the new file
+    store = ResultStore(tmp_path)
+    assert store.report_count() == 6
+    with store.cache.connection() as conn:
+        assert conn.execute("PRAGMA integrity_check").fetchone() == ("ok",)
+    store.cache.close()
 
 
 def test_cli_sweep_and_serve_share_one_cache(tmp_path, reference):
