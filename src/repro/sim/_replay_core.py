@@ -15,20 +15,18 @@ consecutive same structure/line/kind accesses).  Two functions live here:
      extracted with ``np.flatnonzero``; stride confirmations are run-length
      encoded, so the ``covered`` flag of every head and the end-of-segment
      stream state fall out of a handful of array expressions.
-  2. *Reuse-distance LRU.*  For a true-LRU set-associative cache an access
-     hits iff the number of *distinct* lines mapped to its set since the
-     line's previous access is smaller than the associativity (the classic
-     stack-distance property).  Each level classifies its event stream with
-     last-occurrence arrays per set and escalating bounded-window counting
-     (deep sparse windows switch to block-sorted binary-search counting).
-     Covered accesses *install* into L2/L3 ("touch only if absent"): an
-     install landing on a resident line is a no-op whose skipped LRU update
-     perturbs later reuse windows — the one genuinely sequential
-     dependency.  Provably-no-op installs are removed and the affected
-     *sets* reclassified (classification never crosses sets, so clean sets
-     commit immediately); conflicts that survive the narrowing rounds take
-     an exact per-set sequential walk.  L1 sees all heads, L2 the L1-miss
-     subsequence, L3 the covered installs plus the L2 misses.
+  2. *Cache levels.*  L1 sees every head and only plain accesses, so it is
+     classified in array form by reuse distance: in a true-LRU
+     set-associative cache an access hits iff the number of *distinct*
+     lines mapped to its set since the line's previous access is smaller
+     than the associativity (the classic stack-distance property), counted
+     over escalating bounded windows (deep sparse windows switch to
+     block-sorted binary-search counting).  Covered accesses *install* into
+     L2/L3 ("touch only if absent"): an install landing on a resident line
+     skips its LRU update, so every later reuse window depends on earlier
+     outcomes.  L2 (the L1-miss subsequence) and L3 (the covered installs
+     plus the L2 misses) are therefore walked exactly, event by event, on
+     scratch copies of the touched sets.
   3. *Bulk accumulation.*  Latencies come from ``np.where`` over the level
      classifications; stall totals use ``np.add.accumulate`` (a strictly
      sequential scan), so the floating-point sums are performed in exactly
@@ -62,8 +60,14 @@ from repro.sim.trace import grouped_arange
 #: ``access`` shim replays one-head segments in a tight loop).  The cutoff is
 #: a pure performance constant — both paths are bit-identical — so tests pin
 #: it to 0 to force the array path onto tiny traces, or above every trace
-#: length to replay through the reference loop alone.
-MIN_VECTORIZED_HEADS = 512
+#: length to replay through the reference loop alone.  Measured on a 2-core
+#: x86 host over the Figure 10 SpMV and dim-96 Figure 12 SpMM job sets (best
+#: of 5 per segment): the loop wins every segment below about 1,100 heads
+#: (e.g. 0.33 against 0.54 ms at 752 heads) and the array path every
+#: segment above about 1,300 (0.65 against 0.79 ms at 1,432).  Raising the
+#: cutoff from 512 to 1024 moved best-of-3 serial replay of one SpMV job set
+#: from 49-51 to 46-49 ms and left SpMM flat.
+MIN_VECTORIZED_HEADS = 1024
 
 #: Cell budget of one reuse-window counting grid (queries x window); larger
 #: batches are sliced so escalated windows cannot balloon memory.
@@ -71,20 +75,11 @@ _GRID_CELL_BUDGET = 1 << 22
 
 _EMPTY_INDEX = np.zeros(0, dtype=np.int64)
 
-_arange_cache = _EMPTY_INDEX
 _arange32_cache = np.zeros(0, dtype=np.int32)
 
 
-def _arange(n: int) -> np.ndarray:
-    """A read-only-by-convention ``arange(n)`` slice from a grown-once cache."""
-    global _arange_cache
-    if _arange_cache.size < n:
-        _arange_cache = np.arange(max(n, 2 * _arange_cache.size), dtype=np.int64)
-    return _arange_cache[:n]
-
-
 def _arange32(n: int) -> np.ndarray:
-    """Like :func:`_arange` but int32 (positions always fit: n < 2**31)."""
+    """A read-only-by-convention int32 ``arange(n)`` from a grown-once cache."""
     global _arange32_cache
     if _arange32_cache.size < n:
         _arange32_cache = np.arange(max(n, 2 * _arange32_cache.size), dtype=np.int32)
@@ -502,7 +497,6 @@ def _present_by_blocks(
     pending: np.ndarray,
     assoc: int,
     present_out: np.ndarray,
-    gap_bound: Optional[np.ndarray],
 ) -> None:
     """Decide deep reuse queries exactly via block-sorted live counts.
 
@@ -556,8 +550,6 @@ def _present_by_blocks(
         )
         counts += np.count_nonzero(live, axis=1)
         present_out[chunk[counts < assoc]] = True
-        if gap_bound is not None:
-            gap_bound[chunk] = np.minimum(counts, assoc)
 
 
 def _present_by_window(
@@ -568,20 +560,18 @@ def _present_by_window(
     pending: np.ndarray,
     assoc: int,
     present_out: np.ndarray,
-    gap_bound: Optional[np.ndarray] = None,
 ) -> None:
     """Decide the pending reuse queries by counting live touches in windows.
 
     Counts over the last ``window`` slots of each query's reuse window —
     short reuse is the overwhelmingly common case, so most queries settle
     at the first window size.  Queries whose whole window fits are
-    *decided* (their count is exact, written into ``present_out`` and, when
-    given, ``gap_bound``); for the rest a count reaching ``assoc`` already
-    proves a miss, anything else escalates to a 4x window.  Each query's
-    slots are contiguous in the set-grouped layout, so a sliding-window
-    view turns the (queries x window) gather into row-wise copies; batches
-    are sliced to a bounded cell budget so escalated windows cannot balloon
-    memory.
+    *decided* (their count is exact, written into ``present_out``); for the
+    rest a count reaching ``assoc`` already proves a miss, anything else
+    escalates to a 4x window.  Each query's slots are contiguous in the
+    set-grouped layout, so a sliding-window view turns the (queries x
+    window) gather into row-wise copies; batches are sliced to a bounded
+    cell budget so escalated windows cannot balloon memory.
     """
     m = u_live.size
     window = max(4 * assoc, 32)
@@ -594,7 +584,7 @@ def _present_by_window(
             deep = width[pending] > _DEEP_WIDTH
             if deep.any():
                 _present_by_blocks(
-                    u_live, q, p, width, pending[deep], assoc, present_out, gap_bound
+                    u_live, q, p, width, pending[deep], assoc, present_out
                 )
                 pending = pending[~deep]
                 if not pending.size:
@@ -616,8 +606,6 @@ def _present_by_window(
             live = (windows_view[q[chunk]] >= offsets) & (offsets <= width[chunk][:, None])
             counts = np.count_nonzero(live, axis=1)
             present_out[chunk[counts < assoc]] = True
-            if gap_bound is not None:
-                gap_bound[chunk] = np.minimum(counts, assoc)
         survivors: List[np.ndarray] = []
         incomplete = pending[~fits]
         for lo in range(0, incomplete.size, rows):
@@ -689,125 +677,39 @@ def _key_time_order(lines: np.ndarray) -> np.ndarray:
 class _LevelResult:
     """Classification of one cache level's event stream."""
 
-    __slots__ = ("present", "evictions", "stacks", "per_set_evictions")
+    __slots__ = ("present", "evictions", "stacks")
 
-    def __init__(self, present, evictions, stacks, per_set_evictions=None):
-        self.present = present  # bool per real event: resident at access time
+    def __init__(self, present, evictions, stacks):
+        self.present = present  # bool per event: resident at access time
         self.evictions = evictions  # total evictions across the segment
         self.stacks = stacks  # {set index: final way list, LRU->MRU}
-        self.per_set_evictions = per_set_evictions  # array, or None (walked)
-
-
-class _InstallConflict:
-    """A conflicted round: some installs landed on seemingly resident lines.
-
-    Carries the round's full (assumption-based) ``result``, which stays
-    *exact for every set without a conflict* — classification never crosses
-    sets — plus the ``dirty_sets`` that must be redone and the installs
-    *proven* to be no-ops (``mask``).  The proof must not lean on the
-    install's immediate predecessor having made the line most-recently-used
-    — a predecessor that is itself a no-op install leaves the line's
-    recency stale — so presence is certified through a chain bound: along
-    each line's event chain, the per-window distinct counts (each an upper
-    bound on the *true* touches in that gap) are summed from the line's
-    last certain touch; a sum below the associativity proves the line never
-    left the set.  The caller commits the clean sets, removes the proven
-    no-ops, and reclassifies only the dirty sets' surviving events;
-    removals are monotone and the scope shrinks every round.
-    """
-
-    __slots__ = ("mask", "result", "dirty_sets")
-
-    def __init__(self, mask, result, dirty_sets):
-        self.mask = mask  # bool per real event: certainly-no-op install
-        self.result = result  # assumption-based _LevelResult (clean sets exact)
-        self.dirty_sets = dirty_sets  # set indices containing conflicts
-
-
-def _no_op_installs(
-    install_k: np.ndarray,
-    has_prev: np.ndarray,
-    gap_bound: np.ndarray,
-    run_head: np.ndarray,
-    assoc: int,
-    conflicts: np.ndarray,
-    q: np.ndarray,
-    u_live: np.ndarray,
-) -> np.ndarray:
-    """Certified-present installs, in key order.
-
-    First pass — chain bound: ``gap_bound[t]`` bounds (from above) the
-    distinct lines truly touched between event ``t`` and its chain
-    predecessor.  A *known* touch — an access, a virtual way, or a cold
-    install (which certainly inserts) — resets the line's recency, so the
-    running bound restarts right after one; an install's own effect is
-    unknown, so the bound accumulates through it (a true insert would only
-    make the line younger than the bound assumes).  ``bound < assoc``
-    certifies fewer distinct touches than ways since the line provably
-    became most-recently-used: present.
-
-    Second pass — conflicted installs the (overcounting) sum could not
-    certify get an *exact* distinct count over the single window back to
-    the chain's last known touch, which alternation-heavy windows pass
-    even though the per-gap sum saturates.
-    """
-    m = install_k.size
-    known_touch = ~install_k | ~has_prev  # access/virtual, or cold install
-    seg_head = np.empty(m, dtype=bool)
-    seg_head[0] = True
-    seg_head[1:] = known_touch[:-1]
-    seg_head |= run_head
-    csum = np.cumsum(gap_bound, dtype=np.int64)
-    base_at_head = csum - gap_bound  # cumsum *before* each position
-    head_positions = np.flatnonzero(seg_head)
-    seg_id = np.cumsum(seg_head) - 1
-    running = csum - base_at_head[head_positions][seg_id]
-    proofs = install_k & has_prev & (running < assoc)
-
-    second = np.flatnonzero(conflicts & ~proofs)
-    if second.size:
-        heads_of = head_positions[seg_id[second]]
-        anchored = ~run_head[heads_of]  # head's predecessor: same line, known touch
-        second = second[anchored]
-        if second.size:
-            anchors = heads_of[anchored] - 1
-            p_star = np.empty(m, dtype=np.int32)
-            width_star = np.empty(m, dtype=np.int32)
-            p_star[second] = q[anchors]
-            width_star[second] = q[second] - q[anchors] - 1
-            _present_by_window(u_live, q, p_star, width_star, second, assoc, proofs)
-    return proofs
 
 
 def _classify_with_loop(
     cache,
     event_lines: np.ndarray,
-    install: Optional[np.ndarray],
+    install: np.ndarray,
 ) -> _LevelResult:
-    """Walk one level's event stream sequentially (exact by construction).
+    """Walk one L2/L3 event stream sequentially (exact by construction).
 
-    The escape hatch for event streams whose covered installs land on
-    resident lines: a present install leaves the LRU order untouched, so
-    later reuse windows depend on earlier install outcomes and the one-shot
-    array classification above does not apply.  This loop performs exactly
-    the reference loop's per-level list operations — but only for this
-    level's (already filtered) events, on scratch copies of the touched
-    sets, so the surrounding phases stay pure and the other levels stay
-    vectorized.
+    Covered accesses *install* into L2 and L3 (``install`` marks them):
+    they insert at MRU only if the line is absent and leave a resident
+    line's LRU position untouched, so every later reuse window depends on
+    earlier install outcomes and no one-shot reuse-distance count applies.
+    The walk performs exactly the reference loop's per-level list
+    operations, but only for this level's (already filtered) events and on
+    scratch copies of the touched sets, so the surrounding phases stay pure.
     """
     n_sets = cache.config.n_sets
     assoc = cache.config.associativity
-    n_real = event_lines.size
     sets_list = _set_index(event_lines, n_sets).tolist()
-    lines_list = event_lines.tolist()
-    installs = install.tolist() if install is not None else [False] * n_real
     cache_sets = cache._sets
     scratch: List[Optional[list]] = [None] * n_sets
     touched: List[int] = []
-    presence = bytearray(n_real)
+    presence = bytearray(event_lines.size)
     evictions = 0
     i = 0
-    for s, line, installing in zip(sets_list, lines_list, installs):
+    for s, line, installing in zip(sets_list, event_lines.tolist(), install.tolist()):
         ways = scratch[s]
         if ways is None:
             ways = scratch[s] = list(cache_sets[s])
@@ -827,37 +729,20 @@ def _classify_with_loop(
     return _LevelResult(present, evictions, {s: scratch[s] for s in touched})
 
 
-def _classify_level(
-    cache,
-    event_lines: np.ndarray,
-    install: Optional[np.ndarray],
-    real_key_order: Optional[np.ndarray] = None,
-    report_conflicts: bool = False,
-) -> "_LevelResult | _InstallConflict":
-    """Reuse-distance LRU classification of one level's event stream.
+def _classify_level(cache, event_lines: np.ndarray) -> _LevelResult:
+    """Reuse-distance LRU classification of the L1 event stream.
 
-    ``event_lines`` are the lines of the level's events in program order;
-    ``install`` marks covered installs ("touch only if absent") or is
-    ``None`` when every event is a plain access (L1).  The current cache
+    ``event_lines`` are the lines of the level's accesses in program order;
+    every event is a plain access (L1 sees no installs).  The current cache
     contents enter as per-set *virtual* events prepended in LRU→MRU order,
     so reuse windows seamlessly extend across segment boundaries.
-    ``real_key_order``, when given, is the precomputed (line, time) sort of
-    the real events — the caller derives it once per segment and filters it
-    per level, since subsetting a sorted order preserves it.
 
     An event is classified *present* iff its line was touched before and
     fewer than ``associativity`` distinct lines of its set were touched
     since (the stack-distance property of true LRU) — counted over *live*
     touches (those not re-touched inside the window) with escalating
     bounded-window grids, so the common short reuse distances cost a few
-    array passes while pathologically long windows stay exact.  The count
-    assumes every event touches, which holds for accesses and for installs
-    of absent lines; *present* verdicts are exact regardless (over-counting
-    touches only shrinks presence).  If any install turns out present (it
-    would *not* have touched, perturbing later windows), the conflict set is
-    either reported back for no-op removal (``report_conflicts``, see
-    :func:`_classify_with_removal`) or the level is reclassified by
-    :func:`_classify_with_loop` — the one genuinely sequential dependency.
+    array passes while pathologically long windows stay exact.
     """
     n_sets = cache.config.n_sets
     assoc = cache.config.associativity
@@ -897,19 +782,7 @@ def _classify_level(
     set_order = _stable_group_order(sets, n_sets)
     set_pos = np.empty(m, dtype=np.int32)
     set_pos[set_order] = _arange32(m)
-    if real_key_order is None:
-        key_order = _key_time_order(lines)
-    elif n_virtual:
-        # Merge the virtual events into the precomputed real order: each
-        # virtual line (distinct by construction — one resident copy per
-        # line) slots in ahead of its line's first real event.
-        virtual_order = np.argsort(np.asarray(virtual_lines, dtype=np.int64))
-        insert_at = np.searchsorted(
-            event_lines[real_key_order], lines[virtual_order]
-        )
-        key_order = np.insert(real_key_order + n_virtual, insert_at, virtual_order)
-    else:
-        key_order = real_key_order
+    key_order = _key_time_order(lines)
     key_lines = lines[key_order]
     run_head = np.empty(m, dtype=bool)
     run_head[0] = True
@@ -919,11 +792,11 @@ def _classify_level(
     run_tail[:-1] = run_head[1:]
     key_set_pos = set_pos[key_order]
 
-    # The classification round assumes every event touches (installs
-    # included), which makes the reuse chains plain shifts of the key order:
-    # previous/next touch of the same line are simply the run neighbours.
-    # Everything stays in key order until the final scatter — queries are
-    # position-independent, so no intermediate back-permutation is needed.
+    # Every event touches, which makes the reuse chains plain shifts of the
+    # key order: previous/next touch of the same line are simply the run
+    # neighbours.  Everything stays in key order until the final scatter —
+    # queries are position-independent, so no intermediate back-permutation
+    # is needed.
     q = key_set_pos
     p = np.empty(m, dtype=np.int32)
     p[0] = -1
@@ -948,46 +821,11 @@ def _classify_level(
     else:
         is_real = None
         pending = np.flatnonzero(has_prev & (width >= assoc))
-    if install is not None:
-        if is_real is None:
-            install_k = install[key_order]
-        else:
-            install_k = np.zeros(m, dtype=bool)
-            install_k[is_real] = install[key_order[is_real] - n_virtual]
-    pending0 = pending if install is not None else None
     _present_by_window(u_live, q, p, width, pending, assoc, present_k)
-
-    conflict: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    if install is not None:
-        conflicts = install_k & present_k
-        if bool(conflicts.any()):
-            # Only now is the per-gap distinct bound needed for the no-op
-            # chain proofs: rebuild it by re-running the (idempotent)
-            # window counting with capture on.  Conflict rounds are rare
-            # and narrowed, so this beats capturing on every clean round.
-            gap_bound = np.minimum(width, assoc)
-            _present_by_window(u_live, q, p, width, pending0, assoc, present_k, gap_bound)
-            # A present install would not have touched, invalidating the
-            # all-touch windows of everything after it — but only within
-            # its own set: classification never crosses sets.  Certify the
-            # provable no-ops and report them with this round's result
-            # (exact for the clean sets); without a reporting caller, take
-            # the exact walk for the whole level.
-            if not report_conflicts:
-                return _classify_with_loop(cache, event_lines, install)
-            proofs = _no_op_installs(
-                install_k, has_prev, gap_bound, run_head, assoc, conflicts, q, u_live
-            )
-            conflict = (
-                _scatter_back(proofs, key_order, is_real, n_virtual, n_real),
-                np.unique(_set_index(key_lines[np.flatnonzero(conflicts)], n_sets)),
-            )
-
     present = _scatter_back(present_k, key_order, is_real, n_virtual, n_real)
 
     inserts = np.bincount(real_sets[~present], minlength=n_sets)
-    per_set_evictions = np.maximum(0, inserts - (assoc - occupancy0))
-    evictions = int(per_set_evictions.sum())
+    evictions = int(np.maximum(0, inserts - (assoc - occupancy0)).sum())
 
     # Final contents per touched set: the `assoc` most recently touched
     # distinct lines, in last-touch order (ascending = LRU->MRU), read off
@@ -1013,74 +851,6 @@ def _classify_level(
         end = bounds[i]
         stacks[s] = kept_lines[start:end]
         start = end
-    result = _LevelResult(present, evictions, stacks, per_set_evictions)
-    if conflict is not None:
-        return _InstallConflict(conflict[0], result, conflict[1])
-    return result
-
-
-def _classify_with_removal(
-    cache,
-    event_lines: np.ndarray,
-    install: np.ndarray,
-    real_key_order: np.ndarray,
-    max_rounds: int = 6,
-) -> _LevelResult:
-    """Classify a level, iteratively resolving conflicted sets.
-
-    Each round classifies the surviving stream and *commits* every clean
-    set's verdicts (classification never crosses sets); installs proven to
-    be no-ops are dropped — which can only shrink reuse windows, exposing
-    further no-ops — and only the dirty sets' surviving events go into the
-    next round.  Removals are monotone and the scope narrows every round,
-    so the iteration cannot oscillate; when a round ends conflict-free the
-    all-touch classification of its survivors is consistent, hence exact.
-    If conflicts outlive the round budget (or nothing is provable), the
-    remaining events — dirty sets only, by then — take the exact walk.
-    """
-    n = event_lines.size
-    n_sets = cache.config.n_sets
-    present = np.ones(n, dtype=bool)  # removed no-op installs stay present
-    stacks: dict = {}
-    evictions = 0
-    remaining = None  # indices into the original stream; None = all
-    lines, installs, key_order = event_lines, install, real_key_order
-    for _ in range(max_rounds):
-        res = _classify_level(cache, lines, installs, key_order, report_conflicts=True)
-        if isinstance(res, _LevelResult):
-            if remaining is None:
-                return res
-            present[remaining] = res.present
-            evictions += res.evictions
-            stacks.update(res.stacks)
-            return _LevelResult(present, evictions, stacks)
-        # Commit the clean sets; narrow to the dirty sets' unproven events.
-        is_dirty = np.zeros(n_sets, dtype=bool)
-        is_dirty[res.dirty_sets] = True
-        event_sets = _set_index(lines, n_sets)
-        dirty_events = is_dirty[event_sets]
-        clean_events = ~dirty_events
-        base = res.result
-        if remaining is None:
-            remaining = _arange(n).copy()
-        present[remaining[clean_events]] = base.present[clean_events]
-        evictions += int(base.per_set_evictions[~is_dirty].sum())
-        for s, ways in base.stacks.items():
-            if not is_dirty[s]:
-                stacks[s] = ways
-        keep = dirty_events & ~res.mask  # proven no-ops drop out (present)
-        remaining = remaining[keep]
-        lines = lines[keep]
-        installs = installs[keep]
-        renumber = np.cumsum(keep) - 1
-        key_order = renumber[key_order[keep[key_order]]]
-        if not np.any(res.mask):
-            break  # nothing provable: the walk below finishes the job
-    if remaining is not None and remaining.size:
-        walked = _classify_with_loop(cache, lines, installs)
-        present[remaining] = walked.present
-        evictions += walked.evictions
-        stacks.update(walked.stacks)
     return _LevelResult(present, evictions, stacks)
 
 
@@ -1108,34 +878,19 @@ def replay_vectorized(
             h, structures, head_ids, head_lines, head_kinds
         )
 
-        # One (line, time) sort serves every level: the set index is a pure
-        # function of the line, and filtering a sorted order keeps it sorted.
-        head_key_order = _key_time_order(head_lines)
-
-        level1 = _classify_level(
-            h.l1, head_lines, install=None, real_key_order=head_key_order
-        )
+        level1 = _classify_level(h.l1, head_lines)
         l1_miss = ~level1.present
 
         l2_positions = np.flatnonzero(l1_miss)
         install2 = covered[l2_positions]
-        renumber = np.cumsum(l1_miss) - 1
-        l2_key_order = renumber[head_key_order[l1_miss[head_key_order]]]
-        level2 = _classify_with_removal(
-            h.l2, head_lines[l2_positions], install2, l2_key_order
-        )
+        level2 = _classify_with_loop(h.l2, head_lines[l2_positions], install2)
         l2_present = np.zeros(head_lines.size, dtype=bool)
         l2_present[l2_positions] = level2.present
 
         # Covered heads install into L3; uncovered L2 misses access it.
-        l3_mask = l1_miss & (covered | ~l2_present)
-        l3_positions = np.flatnonzero(l3_mask)
+        l3_positions = np.flatnonzero(l1_miss & (covered | ~l2_present))
         install3 = covered[l3_positions]
-        renumber = np.cumsum(l3_mask) - 1
-        l3_key_order = renumber[head_key_order[l3_mask[head_key_order]]]
-        level3 = _classify_with_removal(
-            h.l3, head_lines[l3_positions], install3, l3_key_order
-        )
+        level3 = _classify_with_loop(h.l3, head_lines[l3_positions], install3)
         l3_present = np.zeros(head_lines.size, dtype=bool)
         l3_present[l3_positions] = level3.present
     except _Delegate:

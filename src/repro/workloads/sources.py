@@ -25,9 +25,12 @@ from repro.api.registry import UnknownNameError, suggestion
 SOURCE_TAGS = ("suite", "locality", "graph")
 
 #: Most workloads one process keeps built (see :func:`materialize_source`).
-#: A quick ``smash-repro all`` names 30 sources; a Table 3 matrix at its
-#: scaled dimension takes under 100 KB (24 bytes per non-zero).
-MEMO_SIZE = 32
+#: An uncached full ``smash-repro all`` names 90 distinct sources (34 suite
+#: matrices, 8 graphs and 48 locality matrices) and a warm one builds 39 of
+#: them, so at this bound no run of ``all`` builds a source twice. A Table 3
+#: matrix at its scaled dimension takes under 100 KB (24 bytes per
+#: non-zero); the largest source, M13 at dim 4096, takes 18.6 MiB.
+MEMO_SIZE = 96
 
 
 class Workload:

@@ -6,11 +6,12 @@ indistinguishable from the reference loop (``replay_reference``) on
 *every* observable: the added stall cycles returned by each ``replay``
 call, every statistics counter (including the exact floating-point stall
 totals), the final cache contents *in LRU order*, and the prefetcher stream
-states — across random traces, random chunk cuts, and every configured
-cache geometry.  The suite fuzzes ~50 random traces over several trace
-shapes (random addresses, strided streams, mixtures with repeats, tight
-alternation with deep reuse windows, periodic rescans that drive covered
-installs onto resident lines) plus directed edge cases.
+states — across random traces, random chunk cuts, and four cache
+geometries, one with non-power-of-two set counts.  The suite fuzzes ~50
+random traces over several trace shapes (random addresses, strided
+streams, mixtures with repeats, tight alternation with deep reuse windows
+for the L1 reuse-distance counting, periodic rescans whose covered
+installs land on resident L2/L3 lines) plus directed edge cases.
 
 The oracle needs no knob: raising ``MIN_VECTORIZED_HEADS`` above every
 trace length makes the vectorized engine hand each whole segment to the
@@ -86,6 +87,8 @@ SIMS = [
     SimConfig.scaled(16),
     tiny_sim(),
     tiny_sim((512, 4, 1), (2048, 8, 6), (16384, 16, 30)),
+    # 3, 6 and 12 sets: the modulo branch of the set index, not the mask.
+    tiny_sim((384, 2, 2), (1536, 4, 8), (3072, 4, 20)),
 ]
 
 
@@ -280,7 +283,11 @@ class TestDirectedEquivalence:
         ) == 0
 
     def test_rescan_installs_on_resident_lines(self, check_agreement):
-        """Periodic rescans drive the no-op-install resolution machinery."""
+        """Periodic rescans land covered installs on resident L2/L3 lines.
+
+        Such an install must leave the line's LRU position alone, which
+        changes every later eviction in its set.
+        """
         addresses = (np.arange(6000, dtype=np.int64) % 96) * 64
         ids = np.zeros(6000, dtype=np.int64)
         kinds = np.zeros(6000, dtype=np.uint8)

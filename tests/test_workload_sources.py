@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.api import JobSpec
 from repro.eval import experiments, runner
 from repro.eval.cli import main
 from repro.eval.figures import list_experiments
+from repro.formats.coo import COOMatrix
 from repro.graphs import generators
 from repro.graphs.generators import GRAPH_SPECS, generate_graph
 from repro.workloads import locality, sources, suite
@@ -75,6 +77,55 @@ def test_quick_all_builds_each_source_once(monkeypatch, capsys):
     assert counts == {"generate_matrix": 20, "generate_graph": 4, "matrix_with_locality": 6}
     for made in calls.values():
         assert len(set(made)) == len(made)
+
+
+def test_full_all_builds_each_source_once(monkeypatch, capsys):
+    """An uncached full ``all`` builds each of its 90 sources exactly once.
+
+    The generators and the job executor are stubbed, so only the order in
+    which drivers and jobs read sources is real. A memo bound below the
+    distinct count shows up as second builds: a bound of 32 made 121 builds,
+    and any bound from 42 to 64 made 106. A warm ``all`` reads a subset of
+    these sources, so it builds none twice either.
+    """
+    built = []
+
+    def fake_matrix(spec, dim=None, seed=None):
+        key = spec if isinstance(spec, str) else spec.key
+        built.append(("suite", key, dim, seed))
+        n = dim or suite.get_spec(key).scaled_dim
+        return COOMatrix((n, n), [0, n - 1], [0, n - 1], [1.0, 1.0])
+
+    def fake_graph(spec, n_vertices=None, seed=None):
+        key = spec if isinstance(spec, str) else spec.key
+        built.append(("graph", key, n_vertices))
+        return generate_graph(spec, n_vertices=8)
+
+    def fake_locality(rows, cols, nnz, block_size, locality_percent, seed=None):
+        built.append(("locality", rows, cols, nnz, block_size, locality_percent, seed))
+        return COOMatrix((rows, cols), [0], [0], [1.0])
+
+    report = runner.execute_job(JobSpec("spmv", "taco_csr", Workload.suite("M8", 48)).to_job())
+
+    def fake_execute(job):
+        materialize_source(job.source)
+        return report
+
+    monkeypatch.setattr(suite, "generate_matrix", fake_matrix)
+    monkeypatch.setattr(generators, "generate_graph", fake_graph)
+    monkeypatch.setattr(locality, "matrix_with_locality", fake_locality)
+    monkeypatch.setattr(runner, "execute_job", fake_execute)
+    sources._build.cache_clear()
+    try:
+        assert main(["all", "--no-cache", "--processes", "1"]) == 0
+    finally:
+        sources._build.cache_clear()  # drop the stub workloads
+    capsys.readouterr()
+    kinds = {}
+    for source in set(built):
+        kinds[source[0]] = kinds.get(source[0], 0) + 1
+    assert kinds == {"suite": 34, "graph": 8, "locality": 48}
+    assert len(built) == len(set(built)) <= sources.MEMO_SIZE
 
 
 def test_source_fields():
