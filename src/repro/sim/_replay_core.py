@@ -1,8 +1,12 @@
 """The replay engine behind :meth:`repro.sim.memory.MemoryHierarchy.replay`.
 
 Replay operates on the *head* arrays the dispatcher in
-:mod:`repro.sim.memory` prepares (coalesced accesses: one entry per run of
-consecutive same structure/line/kind accesses).  Two functions live here:
+:mod:`repro.sim.memory` prepares: one entry per run of consecutive same
+structure/line/kind accesses, less the heads strictly inside a two-key
+alternation (A B A B ... A B keeps each key's first and last touch).  The
+dropped accesses are provable L1 hits with zero stall and stride-0
+prefetcher probes, credited by the dispatcher, so neither function here
+sees them.  Two functions live here:
 
 * :func:`replay_reference` — the original per-head Python loop: for every
   head it consults the stride prefetcher, walks L1/L2/L3 with explicit LRU
@@ -66,7 +70,13 @@ from repro.sim.trace import grouped_arange
 #: (e.g. 0.33 against 0.54 ms at 752 heads) and the array path every
 #: segment above about 1,300 (0.65 against 0.79 ms at 1,432).  Raising the
 #: cutoff from 512 to 1024 moved best-of-3 serial replay of one SpMV job set
-#: from 49-51 to 46-49 ms and left SpMM flat.
+#: from 49-51 to 46-49 ms and left SpMM flat.  Re-measured on the heads left
+#: after interleaved-window coalescing (whole job segments plus 300-3,000
+#: head slices of them, 278 in all): the loop won 94 of 96 below 1,000 heads
+#: and 8 of 10 from 1,000 to 1,100, the two were within a few percent from
+#: 1,100 to 1,300 (the array path won 8 of 18), and the array path won 148
+#: of 154 above 1,300.  The crossover did not move, so neither did the
+#: cutoff.
 MIN_VECTORIZED_HEADS = 1024
 
 #: Cell budget of one reuse-window counting grid (queries x window); larger

@@ -12,8 +12,8 @@ Two entry points share one engine:
 
 * :meth:`MemoryHierarchy.replay` — the batched path: whole trace segments
   (columnar numpy arrays, see :mod:`repro.sim.trace`) are replayed with
-  block addresses and streaming-run coalescing computed array-at-a-time,
-  then handed to the vectorized replay engine
+  block addresses, run coalescing and interleaved-window coalescing
+  computed array-at-a-time, then handed to the vectorized replay engine
   (:func:`repro.sim._replay_core.replay_vectorized`), which classifies LRU
   hits per level through reuse (stack) distances entirely in numpy. It
   hands small segments and stream-table overflow to the reference loop
@@ -31,10 +31,13 @@ therefore bit-identical to replaying it in one call, for *any* cut points —
 including a cut inside a coalesced streaming run: the run head on the far
 side of the cut walks the hierarchy, scores the same guaranteed L1 hit the
 bulk credit would have recorded, and its stride-0 prefetcher probe leaves
-the stream state untouched. This is the invariant the bounded-memory
-chunked replay (see :mod:`repro.sim.trace` and DESIGN.md section 10) is
-built on, and ``tests/test_trace_equivalence.py`` asserts it for every
-kernel x scheme at multiple chunk sizes.
+the stream state untouched. A cut inside an interleaved two-key window is
+exact likewise: the window rule holds from any carried state, so each side
+drops only touches that are L1 hits in either replay. This is the
+invariant the bounded-memory chunked replay (see :mod:`repro.sim.trace`
+and DESIGN.md section 10) is built on, and
+``tests/test_trace_equivalence.py`` asserts it for every kernel x scheme
+at multiple chunk sizes.
 """
 
 from __future__ import annotations
@@ -85,6 +88,63 @@ _KIND_OF_ACCESS_TYPE = {
 
 #: Shared one-element structure-id column for the per-request shim.
 _SINGLE_ID = np.zeros(1, dtype=np.int64)
+
+_NO_HEADS = np.zeros(0, dtype=np.int64)
+
+
+def _interleaved_touches(
+    structures: Sequence[str],
+    ids: np.ndarray,
+    lines: np.ndarray,
+    kinds: np.ndarray,
+    assoc: int,
+) -> np.ndarray:
+    """Indices of the heads that sit strictly inside a two-key alternation.
+
+    With ``key = (structure, line, kind)`` per head, head ``i`` is returned
+    iff ``key[j] == key[j - 2]`` for ``j = i, i + 1, i + 2``: it re-touches
+    one of the two keys its window alternates over and is neither the
+    first nor the last touch of either. Dropping the returned heads is
+    exact when the L1 holds at least two ways:
+
+    * a window that touches at most ``assoc`` distinct lines never evicts
+      one of its own (the stack-distance property), so every dropped head
+      is an L1 hit with ``0.0`` stall, and each line's first touch in the
+      window classifies as before;
+    * a dropped head's prefetcher probe has stride 0 and leaves its stream
+      unchanged — unless the two keys are one stream (one structure
+      *name*, ids aside) streaming two different lines, and those windows
+      are kept;
+    * the kept last touches restore the final LRU order.
+    """
+    if assoc < 2 or lines.size < 5:
+        return _NO_HEADS
+    # Lines first: most SpMV segments stop at this gate. Where it passes,
+    # candidates are dense (37% of the dim-96 SpMM heads are dropped), and
+    # full-array id and kind comparisons cost less than gathers at them.
+    repeat = lines[2:] == lines[:-2]  # repeat[k]: key[k + 2] == key[k]
+    window = repeat[:-2] & repeat[1:-1]
+    window &= repeat[2:]
+    if not window.any():
+        return _NO_HEADS
+    repeat &= ids[2:] == ids[:-2]
+    repeat &= kinds[2:] == kinds[:-2]
+    np.logical_and(repeat[:-2], repeat[1:-1], out=window)
+    window &= repeat[2:]
+    inner = np.flatnonzero(window) + 2
+    # A run of consecutive inner heads is one alternation of one key pair,
+    # so the stream test runs once per run, on its first head i and i + 1.
+    starts = window.copy()
+    starts[1:] &= ~window[:-1]
+    first = np.flatnonzero(starts) + 2
+    one_stream = (kinds[first] == 0) & (kinds[first + 1] == 0)
+    if one_stream.any():
+        names = np.asarray([structures.index(name) for name in structures])
+        one_stream &= names[ids[first]] == names[ids[first + 1]]
+        one_stream &= lines[first] != lines[first + 1]
+        if one_stream.any():
+            inner = inner[~one_stream[np.cumsum(starts[window]) - 1]]
+    return inner
 
 
 @dataclass
@@ -141,12 +201,22 @@ class MemoryHierarchy:
         ``structures`` maps the ids in ``struct_ids`` to structure names;
         ``addresses`` are absolute byte addresses and ``kinds`` the uint8
         codes from :mod:`repro.sim.trace`. Block addresses are computed
-        array-at-a-time, and runs of consecutive accesses to the same
-        (structure, line, kind) are coalesced: the run head walks the
-        hierarchy through the vectorized replay engine
-        (:mod:`repro.sim._replay_core`), the repeats are credited as
-        guaranteed L1 hits in bulk (the head just made the line MRU, and a
-        stride-0 repeat leaves the prefetcher untouched). The per-access
+        array-at-a-time, and the trace is coalesced into heads in two
+        steps:
+
+        * runs of consecutive accesses to the same (structure, line, kind)
+          collapse to the run head; the repeats are guaranteed L1 hits
+          (the head just made the line MRU, and a stride-0 repeat leaves
+          the prefetcher untouched);
+        * heads strictly inside a two-key alternation are dropped: with at
+          least two L1 ways, a window over two lines never evicts either,
+          so those re-touches are L1 hits whose stride-0 probes leave
+          their streams untouched, and the kept last touches restore the
+          LRU order (:func:`_interleaved_touches`).
+
+        Only the remaining heads walk the hierarchy through the vectorized
+        replay engine (:mod:`repro.sim._replay_core`); the dropped accesses
+        are credited as L1 hits in bulk. The per-access
         statistics are bit-identical to replaying each access through
         :meth:`access`, identical to the reference loop, and — because all replay
         state persists on ``self`` between calls — identical when the same
@@ -182,28 +252,27 @@ class MemoryHierarchy:
             lines = addresses >> (line_bytes.bit_length() - 1)
         else:
             lines = addresses // line_bytes
-        repeats = 0
         if n > 1:
             same = (
                 (struct_ids[1:] == struct_ids[:-1])
                 & (lines[1:] == lines[:-1])
                 & (kinds[1:] == kinds[:-1])
             )
-            repeats = int(same.sum())
-        if repeats:
-            # The run repeats are guaranteed L1 hits; only the heads walk
-            # the hierarchy.
-            self.l1.stats.accesses += repeats
-            self.l1.stats.hits += repeats
-            head_positions = np.flatnonzero(np.concatenate(([True], ~same)))
-            return replay_vectorized(
-                self,
-                structures,
-                struct_ids[head_positions],
-                lines[head_positions],
-                kinds[head_positions],
-            )
-        # Nothing coalesced: every access is its own head.
+            if same.any():
+                heads = np.flatnonzero(np.concatenate(([True], ~same)))
+                struct_ids, lines, kinds = struct_ids[heads], lines[heads], kinds[heads]
+        inner = _interleaved_touches(
+            structures, struct_ids, lines, kinds, l1c.associativity
+        )
+        if inner.size:
+            keep = np.ones(lines.size, dtype=bool)
+            keep[inner] = False
+            struct_ids, lines, kinds = struct_ids[keep], lines[keep], kinds[keep]
+        # Run repeats and interleaved re-touches are guaranteed L1 hits;
+        # only the remaining heads walk the hierarchy.
+        dropped = n - lines.size
+        self.l1.stats.accesses += dropped
+        self.l1.stats.hits += dropped
         return replay_vectorized(self, structures, struct_ids, lines, kinds)
 
     def _replay_sequential(

@@ -18,6 +18,11 @@ trace length makes the vectorized engine hand each whole segment to the
 reference loop, while the subject side pins the cutoff to 0 so even tiny
 traces take the array path.  A counter around ``replay_reference`` proves
 both sides did what they claim (:class:`TestOracleIsNotVacuous`).
+
+Both sides of that comparison pass through ``replay``'s coalescing of runs
+and interleaved two-key windows, so :class:`TestCoalescingEquivalence`
+holds the coalescing itself to a replay of one access per call, where
+nothing coalesces.
 """
 
 import sys
@@ -92,11 +97,17 @@ SIMS = [
 ]
 
 
-def random_trace(rng, n_structures, n):
-    """One random columnar trace covering a specific access-pattern shape."""
+def random_trace(rng, n_structures, n, style=None):
+    """One random columnar trace covering a specific access-pattern shape.
+
+    ``style`` picks the shape; by default one of the first six at random.
+    """
     names = [f"s{i}" for i in range(n_structures)]
+    if style == INTERLEAVED:
+        return (names,) + interleaved_trace(rng, n_structures, n)
     struct_ids = rng.integers(0, n_structures, n)
-    style = rng.integers(0, 6)
+    if style is None:
+        style = rng.integers(0, 6)
     if style == 0:  # uniformly random addresses (set aliasing, cold misses)
         addresses = rng.integers(0, 1 << rng.integers(10, 22), n) * 8
     elif style == 1:  # constant-stride streams per structure (prefetcher food)
@@ -117,6 +128,49 @@ def random_trace(rng, n_structures, n):
         addresses = rng.integers(0, 10, n) * 64 * 4
     kinds = rng.choice([0, 0, 0, 1, 2], size=n).astype(np.uint8)
     return names, struct_ids.astype(np.int64), np.asarray(addresses, dtype=np.int64), kinds
+
+
+#: The trace style of :func:`interleaved_trace`, never drawn at random.
+INTERLEAVED = 6
+
+
+def interleaved_trace(rng, n_structures, n):
+    """Two structures alternating over a few lines, with mixed kinds.
+
+    Windows of a random number of rounds alternate two random keys
+    ``(structure, line, kind)``, often on the same structure (one stream
+    on two lines) or on the same line under two kinds; a flipped kind (the
+    lines still alternate, the keys do not) or a stray access sometimes
+    breaks a window. Returns ``(struct_ids, addresses, kinds)``.
+    """
+    ids, addresses, kinds = [], [], []
+    while len(addresses) < n:
+        pair = [
+            (
+                int(rng.integers(0, n_structures)),
+                int(rng.integers(0, 6)) * 64 + int(rng.integers(0, 8)) * 8,
+                int(rng.choice([0, 0, 1, 2])),
+            )
+            for _ in range(2)
+        ]
+        if rng.random() < 0.3:
+            pair[1] = (pair[0][0],) + pair[1][1:]
+        elif rng.random() < 0.2:
+            pair[1] = (pair[1][0], pair[0][1], pair[1][2])
+        for _ in range(int(rng.integers(1, 12))):
+            for sid, address, kind in pair:
+                ids.append(sid)
+                addresses.append(address)
+                kinds.append(kind if rng.random() >= 0.05 else (kind + 1) % 3)
+            if rng.random() < 0.1:
+                ids.append(int(rng.integers(0, n_structures)))
+                addresses.append(int(rng.integers(0, 6)) * 64)
+                kinds.append(int(rng.integers(0, 3)))
+    return (
+        np.asarray(ids[:n], dtype=np.int64),
+        np.asarray(addresses[:n], dtype=np.int64),
+        np.asarray(kinds[:n], dtype=np.uint8),
+    )
 
 
 def replay_in_chunks(sim, names, struct_ids, addresses, kinds, cuts):
@@ -329,6 +383,129 @@ class TestDirectedEquivalence:
         check_agreement(
             tiny_sim(), names, ids, addresses, kinds, list(range(1, n)), "per-access cuts"
         )
+
+
+class TestCoalescingEquivalence:
+    """``replay``'s coalescing against a replay that coalesces nothing.
+
+    The suites above replay both sides through the same coalescing, so
+    they cannot see a coalescing bug. Here the oracle replays the trace
+    one access per call: a one-access segment has no run and no window to
+    coalesce. The subject replays it in long segments, on the reference
+    loop and on the array path alike.
+    """
+
+    @staticmethod
+    def check(monkeypatch, sim, names, ids, addresses, kinds, cuts=()):
+        per_access = replay_in_chunks(
+            sim, names, ids, addresses, kinds, range(1, len(addresses))
+        )[0]
+        for oracle in (True, False):
+            replay_mode(monkeypatch, oracle)
+            subject = replay_in_chunks(sim, names, ids, addresses, kinds, cuts)[0]
+            for expected, got in zip(
+                observable_state(per_access), observable_state(subject)
+            ):
+                assert expected == got, f"oracle={oracle}: {expected} != {got}"
+
+    @staticmethod
+    def heads_replayed(monkeypatch, sim, names, ids, addresses, kinds):
+        """How many heads one ``replay`` call hands to the engine."""
+        import repro.sim.memory as memory
+
+        seen = []
+        engine = memory.replay_vectorized
+
+        def counting(*args):
+            seen.append(len(args[3]))
+            return engine(*args)
+
+        monkeypatch.setattr(memory, "replay_vectorized", counting)
+        MemoryHierarchy(sim).replay(names, ids, addresses, kinds)
+        return seen[0]
+
+    @staticmethod
+    def alternation(keys, rounds):
+        """``rounds`` rounds over ``keys``, as (ids, addresses, kinds)."""
+        trace = list(keys) * rounds
+        return (
+            np.asarray([k[0] for k in trace], dtype=np.int64),
+            np.asarray([k[1] for k in trace], dtype=np.int64),
+            np.asarray([k[2] for k in trace], dtype=np.uint8),
+        )
+
+    @pytest.mark.parametrize("trial", range(12))
+    def test_interleaved_trace(self, trial, monkeypatch):
+        rng = np.random.default_rng(3000 + trial)
+        n = int(rng.integers(200, 2500))
+        names, ids, addresses, kinds = random_trace(rng, 3, n, style=INTERLEAVED)
+        if trial % 3 == 0:
+            names[2] = names[0]  # two ids, one stream
+        cuts = sorted(rng.integers(1, n, int(rng.integers(0, 4))).tolist())
+        self.check(monkeypatch, SIMS[trial % len(SIMS)], names, ids, addresses, kinds, cuts)
+
+    def test_interleaved_heads_are_dropped(self, monkeypatch):
+        """Two structures on two lines: only both first and last touches walk."""
+        ids, addresses, kinds = self.alternation([(0, 0, 0), (1, 4096, 1)], 20)
+        assert self.heads_replayed(
+            monkeypatch, tiny_sim(), ["a", "b"], ids, addresses, kinds
+        ) == 4
+        self.check(monkeypatch, tiny_sim(), ["a", "b"], ids, addresses, kinds)
+
+    def test_odd_alternation_keeps_the_last_touches(self, monkeypatch):
+        """A B ... A: the kept last touches restore the L1 LRU order.
+
+        Both lines share one L1 set, and a third line then evicts the LRU
+        one, so keeping first touches only would evict the wrong line.
+        """
+        sim = tiny_sim()
+        n_sets = sim.l1.n_sets
+        ids, addresses, kinds = self.alternation([(0, 0, 0), (1, 64 * n_sets, 0)], 10)
+        ids, addresses, kinds = ids[:-1], addresses[:-1], kinds[:-1]
+        addresses = np.append(addresses, [128 * n_sets, 0])
+        ids = np.append(ids, [0, 1])
+        kinds = np.append(kinds, [1, 1]).astype(np.uint8)
+        assert self.heads_replayed(monkeypatch, sim, ["a", "b"], ids, addresses, kinds) == 6
+        self.check(monkeypatch, sim, ["a", "b"], ids, addresses, kinds)
+
+    def test_one_stream_on_two_lines_is_not_dropped(self, monkeypatch):
+        """One structure streaming two lines: every probe moves its stream."""
+        ids, addresses, kinds = self.alternation([(0, 0, 0), (0, 4096, 0)], 20)
+        assert self.heads_replayed(
+            monkeypatch, tiny_sim(), ["a"], ids, addresses, kinds
+        ) == 40
+        self.check(monkeypatch, tiny_sim(), ["a"], ids, addresses, kinds)
+
+    def test_shared_name_on_two_lines_is_not_dropped(self, monkeypatch):
+        """Two ids with one name are one stream, whatever their ids say."""
+        names = ["shared", "shared"]
+        ids, addresses, kinds = self.alternation([(0, 0, 0), (1, 4096, 0)], 20)
+        assert self.heads_replayed(
+            monkeypatch, tiny_sim(), names, ids, addresses, kinds
+        ) == 40
+        self.check(monkeypatch, tiny_sim(), names, ids, addresses, kinds)
+
+    def test_direct_mapped_l1_is_not_dropped(self, monkeypatch):
+        """With one way per set, two lines of one set evict each other."""
+        sim = tiny_sim(l1=(512, 1, 2))
+        ids, addresses, kinds = self.alternation([(0, 0, 0), (1, 512, 1)], 20)
+        assert self.heads_replayed(monkeypatch, sim, ["a", "b"], ids, addresses, kinds) == 40
+        self.check(monkeypatch, sim, ["a", "b"], ids, addresses, kinds)
+
+    @pytest.mark.parametrize("rounds", [3, 4, 9])
+    def test_cuts_inside_an_alternation(self, rounds, monkeypatch):
+        """Every cut point inside alternations framed by stray accesses."""
+        sim = tiny_sim()
+        n_sets = sim.l1.n_sets
+        ids, addresses, kinds = self.alternation(
+            [(0, 0, 0), (1, 64 * n_sets, 1)], rounds
+        )
+        ids = np.concatenate([[2], ids, [2], ids[::-1]])
+        addresses = np.concatenate([[128 * n_sets], addresses, [256 * n_sets], addresses[::-1]])
+        kinds = np.concatenate([[0], kinds, [2], kinds[::-1]]).astype(np.uint8)
+        names = ["a", "b", "c"]
+        for cut in range(1, len(addresses)):
+            self.check(monkeypatch, sim, names, ids, addresses, kinds, [cut])
 
 
 class TestBackendSelection:
